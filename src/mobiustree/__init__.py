@@ -52,9 +52,11 @@ from .store import (
     StoreStats,
     TreeStore,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 
 __version__ = "0.1.0"
+
+# The kernels are pure Python; kept as a constant for reports that print it.
+KERNEL_BACKEND = "pure"
 
 __all__ = [
     "__version__",

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .exactmath import DomainError, Ratio
+from .exactmath import DomainError, Ratio, to_decimal
 from .encoding import (
     MobiusMatrix,
     NestedInterval,
@@ -173,7 +173,7 @@ def _cmd_tree(args, out) -> int:
         rec, level = stack.pop()
         m = rec.matrix
         slot = matrix_to_path(m)[-1]
-        print(f"{'  ' * level}{slot}\t{Ratio(m.a, m.c)}\t{escape_payload(rec.payload)}", file=out)
+        print(f"{'  ' * level}{to_decimal(slot)}\t{Ratio(m.a, m.c)}\t{escape_payload(rec.payload)}", file=out)
         stack.extend((kid, level + 1) for kid in reversed(store.children(rec)))
     return 0
 

@@ -21,7 +21,14 @@ import re
 from typing import Iterable, Iterator, Sequence
 
 from . import kernels
-from .exactmath import DomainError, Ratio, euclid_quotients, ext_gcd
+from .exactmath import (
+    DomainError,
+    Ratio,
+    euclid_quotients,
+    ext_gcd,
+    from_decimal,
+    to_decimal,
+)
 
 __all__ = [
     "Path",
@@ -65,7 +72,7 @@ class Path:
             if not isinstance(q, int):
                 raise TypeError(f"path component {q!r} is not an int")
             if q < 1:
-                raise DomainError(f"path component {q} is < 1")
+                raise DomainError(f"path component {to_decimal(q)} is < 1")
         object.__setattr__(self, "components", comps)
 
     def __setattr__(self, name, value):
@@ -81,7 +88,7 @@ class Path:
         parts = text.split(".")
         if not all(re.fullmatch(r"[0-9]+", p) for p in parts):
             raise DomainError(f"invalid path text: {text!r}")
-        return cls(int(p) for p in parts)
+        return cls(map(from_decimal, parts))
 
     @property
     def is_root(self) -> bool:
@@ -126,10 +133,10 @@ class Path:
     def __str__(self):
         if not self.components:
             return "root"
-        return ".".join(str(q) for q in self.components)
+        return ".".join(map(to_decimal, self.components))
 
     def __repr__(self):
-        return f"Path({list(self.components)!r})"
+        return f"Path([{', '.join(map(to_decimal, self.components))}])"
 
 
 class MobiusMatrix:
@@ -156,9 +163,10 @@ class MobiusMatrix:
                 raise DomainError(f"matrix entry {name} is negative")
         det = a * d - b * c
         if det != 1 and det != -1:
-            raise DomainError(f"determinant must be +-1, got {det}")
+            raise DomainError(f"determinant must be +-1, got {to_decimal(det)}")
         if not (a == 1 and b == 0 and c == 0 and d == 1):
             if not (a >= b and a >= c and b >= d and c >= d and a >= 1 and c >= 1):
+                a, b, c, d = map(to_decimal, (a, b, c, d))
                 raise DomainError(
                     f"entries [[{a},{b}],[{c},{d}]] violate the encoding ordering"
                 )
@@ -176,7 +184,7 @@ class MobiusMatrix:
         parts = [p.strip() for p in text.strip().split(",")]
         if len(parts) != 4 or not all(re.fullmatch(r"[0-9]+", p) for p in parts):
             raise DomainError(f"invalid matrix text: {text!r}")
-        return cls(*(int(p) for p in parts))
+        return cls(*map(from_decimal, parts))
 
     @property
     def det(self) -> int:
@@ -205,10 +213,10 @@ class MobiusMatrix:
         return hash(self.entries())
 
     def __str__(self):
-        return f"{self.a},{self.b},{self.c},{self.d}"
+        return ",".join(map(to_decimal, self.entries()))
 
     def __repr__(self):
-        return f"MobiusMatrix({self.a}, {self.b}, {self.c}, {self.d})"
+        return f"MobiusMatrix({', '.join(map(to_decimal, self.entries()))})"
 
 
 MobiusMatrix.IDENTITY = MobiusMatrix(1, 0, 0, 1)
@@ -476,7 +484,7 @@ def child(m: MobiusMatrix, n: int) -> MobiusMatrix:
     if not isinstance(n, int):
         raise TypeError("child index must be an int")
     if n < 1:
-        raise DomainError(f"child index must be >= 1, got {n}")
+        raise DomainError(f"child index must be >= 1, got {to_decimal(n)}")
     return MobiusMatrix(n * m.a + m.b, m.a, n * m.c + m.d, m.c)
 
 

@@ -21,6 +21,8 @@ __all__ = [
     "ext_gcd",
     "euclid_quotients",
     "ratio_cmp",
+    "to_decimal",
+    "from_decimal",
 ]
 
 
@@ -31,6 +33,47 @@ class DomainError(ValueError):
 def _check_int(name, value):
     if not isinstance(value, int):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
+# CPython refuses int <-> decimal text conversions longer than
+# sys.get_int_max_str_digits() digits (4300 by default, never below 640
+# when set).  Past that limit the helpers below convert in chunks short
+# enough for any setting, so the process-global limit stays untouched.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def to_decimal(n: int) -> str:
+    """Decimal text of an int of any size; str(n) within CPython's
+    int/str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    chunks = []  # base 10**_CHUNK_DIGITS digits, least significant first
+    while n:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(r)
+    head = str(chunks.pop())
+    return sign + head + "".join(f"{c:0{_CHUNK_DIGITS}d}" for c in reversed(chunks))
+
+
+def from_decimal(text: str) -> int:
+    """The int spelled by decimal text of any length; int(text) within
+    CPython's int/str digit limit, plain ASCII digits past it.  Raises
+    ValueError otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        if not (text.isascii() and text.isdigit()):
+            raise
+    head = len(text) % _CHUNK_DIGITS or _CHUNK_DIGITS
+    n = int(text[:head])
+    for i in range(head, len(text), _CHUNK_DIGITS):
+        n = n * _CHUNK + int(text[i : i + _CHUNK_DIGITS])
+    return n
 
 
 def gcd(a: int, b: int) -> int:
@@ -72,10 +115,12 @@ def euclid_quotients(a: int, b: int) -> list[int]:
     _check_int("a", a)
     _check_int("b", b)
     if b < 1 or a < b:
-        raise DomainError(f"need a >= b >= 1, got ({a}, {b})")
+        raise DomainError(f"need a >= b >= 1, got ({to_decimal(a)}, {to_decimal(b)})")
     quotients, g = kernels.euclid_quotients_raw(a, b)
     if g != 1:
-        raise DomainError(f"{a} and {b} are not coprime (gcd {g})")
+        raise DomainError(
+            f"{to_decimal(a)} and {to_decimal(b)} are not coprime (gcd {to_decimal(g)})"
+        )
     return quotients
 
 
@@ -120,17 +165,17 @@ class Ratio:
         m = _RATIO_RE.match(text)
         if m is None:
             raise DomainError(f"invalid ratio text: {text!r}")
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) is not None else 1
+        num = from_decimal(m.group(1))
+        den = from_decimal(m.group(2)) if m.group(2) is not None else 1
         return cls(num, den)
 
     def __str__(self):
         if self.den == 0:
             return "inf"
-        return f"{self.num}/{self.den}"
+        return f"{to_decimal(self.num)}/{to_decimal(self.den)}"
 
     def __repr__(self):
-        return f"Ratio({self.num}, {self.den})"
+        return f"Ratio({to_decimal(self.num)}, {to_decimal(self.den)})"
 
     def __hash__(self):
         return hash((self.num, self.den))

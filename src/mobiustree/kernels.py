@@ -1,37 +1,128 @@
-"""Kernel backend selection.
+"""Integer arithmetic kernels: the hot inner loops of the encoding.
 
-Prefers the compiled extension, falls back to the pure-Python kernels.
-Set MOBIUSTREE_PURE=1 to force the fallback (useful for benchmarking and
-debugging).  ``BACKEND`` reports which one is active.
+All functions work on plain unbounded ``int`` values, assume their
+documented preconditions, and raise ``ValueError`` (never a package
+exception) so the wrappers in ``exactmath`` and ``encoding`` own error
+typing.  Callers reach them as ``kernels.<name>`` so a profiler can
+rebind each one in this module alone.
 """
 
-import os
 
-if os.environ.get("MOBIUSTREE_PURE") == "1":
-    from . import _pykernels as _impl
-else:
-    try:
-        from . import _ckernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _pykernels as _impl
+def ext_gcd_raw(a, b):
+    """Iterative extended Euclid: returns (g, x, y) with a*x + b*y = g.
 
-BACKEND: str = _impl.BACKEND
+    Standard back-substitution coefficients: |x| <= b/(2g) and
+    |y| <= a/(2g) away from degenerate inputs.  No tie-breaking; the
+    a == b case is resolved by the caller.
+    """
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
 
-ext_gcd_raw = _impl.ext_gcd_raw
-euclid_quotients_raw = _impl.euclid_quotients_raw
-cf_eval_raw = _impl.cf_eval_raw
-path_to_matrix_raw = _impl.path_to_matrix_raw
-matrix_to_path_raw = _impl.matrix_to_path_raw
-mat_mul_raw = _impl.mat_mul_raw
-cmp_raw = _impl.cmp_raw
 
-__all__ = [
-    "BACKEND",
-    "ext_gcd_raw",
-    "euclid_quotients_raw",
-    "cf_eval_raw",
-    "path_to_matrix_raw",
-    "matrix_to_path_raw",
-    "mat_mul_raw",
-    "cmp_raw",
-]
+def euclid_quotients_raw(a, b):
+    """Quotient sequence of Euclid on (a, b) plus the final gcd.
+
+    Assumes a >= b >= 1.  Returns (quotients, gcd); the caller decides
+    whether a non-unit gcd is an error.
+    """
+    out = []
+    while b:
+        q, r = divmod(a, b)
+        out.append(q)
+        a, b = b, r
+    return out, a
+
+
+def cf_eval_raw(components):
+    """Evaluate a simple continued fraction bottom-up to (num, den).
+
+    Folds q + 1/(...) from the innermost term outwards, i.e. runs the
+    Euclidean division steps in reverse.  Assumes a nonempty sequence of
+    integers >= 1; the result is automatically in lowest terms.
+    """
+    num, den = 1, 0
+    for q in reversed(components):
+        if q < 1:
+            raise ValueError("continued-fraction terms must be >= 1")
+        num, den = q * num + den, num
+    if den == 0:
+        raise ValueError("empty continued fraction has no value")
+    return num, den
+
+
+def path_to_matrix_raw(components):
+    """Left-to-right product of primitive factors [[q,1],[1,0]].
+
+    The empty product is the identity.  Assumes integer components >= 1.
+    """
+    a, b, c, d = 1, 0, 0, 1
+    for q in components:
+        if q < 1:
+            raise ValueError("path components must be >= 1")
+        a, b = a * q + b, a
+        c, d = c * q + d, c
+    return a, b, c, d
+
+
+def matrix_to_path_raw(a, b, c, d):
+    """Peel primitive factors off [[a,b],[c,d]], returning the quotients.
+
+    Inverse of path_to_matrix_raw for any product of primitives,
+    including non-canonical (trailing-1) ones: the quotient is
+    floor(a/c) when d = 0 and min(floor(a/c), floor(b/d)) otherwise,
+    which is the only choice that keeps the remainder matrix valid.
+    Raises ValueError("not a path matrix: ...") when no factorization
+    exists.
+    """
+    if a < 0 or b < 0 or c < 0 or d < 0:
+        raise ValueError("not a path matrix: negative entry")
+    det = a * d - b * c
+    if det != 1 and det != -1:
+        raise ValueError("not a path matrix: determinant %d" % det)
+    out = []
+    while not (a == 1 and b == 0 and c == 0 and d == 1):
+        if c == 0:
+            raise ValueError("not a path matrix: no factor left")
+        if d == 0:
+            q = a // c
+        else:
+            q = min(a // c, b // d)
+        if q < 1:
+            raise ValueError("not a path matrix: zero quotient")
+        a, b, c, d = c, d, a - q * c, b - q * d
+        if c < 0 or d < 0:
+            raise ValueError("not a path matrix: negative remainder")
+        out.append(q)
+    return out
+
+
+def mat_mul_raw(a1, b1, c1, d1, a2, b2, c2, d2):
+    """2x2 integer matrix product, row-major flat form."""
+    return (
+        a1 * a2 + b1 * c2,
+        a1 * b2 + b1 * d2,
+        c1 * a2 + d1 * c2,
+        c1 * b2 + d1 * d2,
+    )
+
+
+def cmp_raw(pn, pd, qn, qd):
+    """Exact rational comparison by cross-multiplication: -1, 0 or 1.
+
+    Denominator 0 is the +infinity sentinel (numerator 1); the plain
+    cross product already orders it above every finite value.
+    """
+    lhs = pn * qd
+    rhs = qn * pd
+    if lhs < rhs:
+        return -1
+    if lhs > rhs:
+        return 1
+    return 0

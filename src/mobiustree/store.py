@@ -20,12 +20,13 @@ from __future__ import annotations
 import bisect
 import os
 import re
+import stat
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Iterable, Union
 
-from .exactmath import DomainError, Ratio
+from .exactmath import DomainError, Ratio, from_decimal, to_decimal
 from .encoding import (
     MobiusMatrix,
     NestedInterval,
@@ -213,6 +214,26 @@ class TreeStore:
                 self._children.pop(self._key(pm), None)
         self._index = None
 
+    def _choose_slot(
+        self, pm: MobiusMatrix, index: int | None, vacating: int | None = None
+    ) -> int:
+        """Child slot under pm for a node being placed there: the
+        requested index if it is free, else 1 + the highest occupied
+        slot.  vacating is pm's slot that the placed node itself frees
+        (a move under its own parent)."""
+        occupied = self._children.get(self._key(pm), frozenset())
+        if vacating is not None:
+            occupied = occupied - {vacating}
+        if index is None:
+            return max(occupied, default=0) + 1
+        if not isinstance(index, int) or index < 1:
+            raise DomainError(f"child index must be >= 1, got {to_decimal(index)}")
+        if index in occupied:
+            raise OccupiedSlotError(
+                f"slot {to_decimal(index)} under {matrix_to_path(pm)} is occupied"
+            )
+        return index
+
     def _ensure_index(self):
         if self._index is None:
             idx = []
@@ -304,7 +325,7 @@ class TreeStore:
             m = rec.matrix
             max_depth = max(max_depth, len(matrix_to_path(m)))
             max_bits = max(max_bits, m.a.bit_length())
-            max_key = max(max_key, len(f"{m.a}\t{m.b}\t{m.c}\t{m.d}".encode()))
+            max_key = max(max_key, len("\t".join(map(to_decimal, m.entries()))))
         return StoreStats(len(self._records), max_depth, max_bits, max_key)
 
     # -- mutation ---------------------------------------------------------
@@ -319,18 +340,7 @@ class TreeStore:
         if not isinstance(payload, str):
             raise TypeError("payload must be str")
         pm = self._resolve_parent_ref(parent)
-        occupied = self._children.get(self._key(pm), set())
-        if index is not None:
-            if not isinstance(index, int) or index < 1:
-                raise DomainError(f"child index must be >= 1, got {index}")
-            if index in occupied:
-                raise OccupiedSlotError(
-                    f"slot {index} under {matrix_to_path(pm)} is occupied"
-                )
-            n = index
-        else:
-            n = max(occupied, default=0) + 1
-        rec = NodeRecord(child(pm, n), payload)
+        rec = NodeRecord(child(pm, self._choose_slot(pm, index)), payload)
         self._insert(rec)
         return rec
 
@@ -360,21 +370,8 @@ class TreeStore:
         subtree = [src] + self.descendants(src)
 
         old_parent, old_slot = _parent_and_slot(src.matrix)
-        occupied = set(self._children.get(self._key(pm), ()))
-        if old_parent == pm:
-            occupied.discard(old_slot)  # the slot being vacated
-        if index is not None:
-            if not isinstance(index, int) or index < 1:
-                raise DomainError(f"child index must be >= 1, got {index}")
-            if index in occupied:
-                raise OccupiedSlotError(
-                    f"slot {index} under {matrix_to_path(pm)} is occupied"
-                )
-            n = index
-        else:
-            n = max(occupied, default=0) + 1
-
-        base = child(pm, n)
+        vacating = old_slot if old_parent == pm else None
+        base = child(pm, self._choose_slot(pm, index, vacating))
         new_matrices = [concat(base, relative(src.matrix, rec.matrix)) for rec in subtree]
         for rec in subtree:
             self._remove(rec)
@@ -392,8 +389,7 @@ class TreeStore:
         lines = [FILE_HEADER]
         for _, _, key, _ in self._ensure_index():
             rec = self._records[key]
-            a, b, c, d = key
-            lines.append(f"{a}\t{b}\t{c}\t{d}\t{escape_payload(rec.payload)}")
+            lines.append("\t".join([*map(to_decimal, key), escape_payload(rec.payload)]))
         data = ("\n".join(lines) + "\n").encode()
         try:
             fd, tmp = tempfile.mkstemp(
@@ -402,6 +398,10 @@ class TreeStore:
             try:
                 with os.fdopen(fd, "wb") as f:
                     f.write(data)
+                try:
+                    os.chmod(tmp, stat.S_IMODE(os.stat(destination).st_mode))
+                except FileNotFoundError:
+                    pass  # a new file keeps mkstemp's owner-only mode
                 os.replace(tmp, destination)
             except BaseException:
                 os.unlink(tmp)
@@ -436,7 +436,7 @@ class TreeStore:
             for f in fields[:4]:
                 if not re.fullmatch(r"[0-9]+", f):
                     raise LoadError(lineno, f"non-integer matrix entry {f!r}")
-            a, b, c, d = (int(f) for f in fields[:4])
+            a, b, c, d = map(from_decimal, fields[:4])
             try:
                 m = MobiusMatrix(a, b, c, d)
             except DomainError as e:

@@ -84,6 +84,18 @@ class TestEncodeDecode:
             assert out == ""
             assert err.startswith("error: ")
 
+    def test_encode_past_the_int_str_limit(self, capsys):
+        from mobiustree import MobiusMatrix, Path, path_to_matrix
+
+        code, out, _ = run(capsys, "encode", "--path", "9" * 5000)
+        assert code == 0
+        fields = dict(line.split(": ", 1) for line in out.splitlines())
+        assert fields["path"] == "9" * 5000
+        m = MobiusMatrix.parse(fields["matrix"])
+        assert path_to_matrix(Path.parse(fields["path"])) == m
+        code, out2, _ = run(capsys, "encode", "--matrix", fields["matrix"])
+        assert (code, out2) == (0, out)
+
     def test_usage_errors_exit_2(self, capsys):
         assert run(capsys, "encode")[0] == 2  # no input form
         assert run(capsys, "encode", "--path", "1", "--ratio", "1/1")[0] == 2
@@ -217,6 +229,33 @@ class TestStoreCommands:
         code, _, _ = run(capsys, "add", store_file, "--parent", "9.9", "--payload", "x")
         assert code == 4
         assert pathlib.Path(store_file).read_bytes() == before
+
+    @pytest.mark.parametrize("mode", [0o644, 0o640], ids=["0644", "0640"])
+    def test_mutation_keeps_file_mode(self, store_file, capsys, mode):
+        import os
+        import stat
+
+        os.chmod(store_file, mode)
+        code, _, _ = run(capsys, "add", store_file, "--parent", "4.7", "--payload", "kid")
+        assert code == 0
+        assert stat.S_IMODE(os.stat(store_file).st_mode) == mode
+
+    def test_store_commands_print_huge_slots(self, tmp_path, capsys):
+        from mobiustree import TreeStore
+
+        st = TreeStore()
+        st.add_child(st.add_child("root", "big", index=10**5000), "kid")
+        f = str(tmp_path / "big.db")
+        st.save(f)
+        big = "1" + "0" * 5000
+        code, out, _ = run(capsys, "tree", f)
+        assert code == 0
+        assert out.splitlines()[0] == f"{big}\t{big}/1\tbig"
+        code, out, _ = run(capsys, "descendants", f, "--node", big)
+        assert code == 0
+        assert out.startswith(f"{big}.1\t")
+        code, out, _ = run(capsys, "stats", f)
+        assert code == 0
 
     def test_tree_survives_very_deep_chains(self, tmp_path, capsys):
         from mobiustree import TreeStore

@@ -100,6 +100,23 @@ class TestMatrixType:
         with pytest.raises(DomainError):
             MobiusMatrix.parse("1,2,3,x")
 
+    def test_text_past_the_int_str_limit(self):
+        big = 10**5000
+        m = path_to_matrix([big, 2])
+        assert MobiusMatrix.parse(str(m)) == m
+        assert repr(m).startswith("MobiusMatrix(2")
+        p = Path([big, 2])
+        assert Path.parse(str(p)) == p
+        assert repr(p).startswith("Path([1000")
+        with pytest.raises(DomainError, match="determinant"):
+            M(big, 1, 1, 1)
+        with pytest.raises(DomainError, match="ordering"):
+            M(1, 0, big, 1)
+        with pytest.raises(DomainError):
+            Path([-big])
+        with pytest.raises(DomainError):
+            child(MobiusMatrix.IDENTITY, -big)
+
 
 class TestPathMatrix:
     def test_worked_example_product(self):

@@ -1,14 +1,20 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+import mobiustree
+from mobiustree import kernels
 from mobiustree.exactmath import (
     DomainError,
     INFINITY,
     Ratio,
     ext_gcd,
     euclid_quotients,
+    from_decimal,
     gcd,
     ratio_cmp,
+    to_decimal,
 )
 
 from oracles import brute_gcd, brute_min_bezout, cf_value
@@ -187,3 +193,58 @@ class TestRatio:
             return
         expect = (Fraction(pn, pd) > Fraction(qn, qd)) - (Fraction(pn, pd) < Fraction(qn, qd))
         assert ratio_cmp(p, q) == expect
+
+
+# well past CPython's default int <-> str limit of 4300 digits
+HUGE_DIGITS = sys.int_info.default_max_str_digits + 700
+
+
+class TestDecimalText:
+    def test_matches_str_and_int_within_the_limit(self):
+        for n in [0, 7, -7, 10**600 - 1, 10**600, 3**5000]:
+            assert to_decimal(n) == str(n)
+            assert from_decimal(str(n)) == n
+
+    def test_roundtrip_past_the_limit(self):
+        text = "9" * HUGE_DIGITS
+        n = from_decimal(text)
+        assert n == 10**HUGE_DIGITS - 1
+        assert to_decimal(n) == text
+        assert to_decimal(-n) == "-" + text
+        # interior chunks keep their leading zeros
+        n = 10**HUGE_DIGITS + 7
+        assert to_decimal(n) == "1" + "0" * (HUGE_DIGITS - 1) + "7"
+        assert from_decimal(to_decimal(n)) == n
+
+    def test_rejects_non_digits_past_the_limit(self):
+        for bad in ["9" * HUGE_DIGITS + "x", "-" + "9" * HUGE_DIGITS, " " + "9" * HUGE_DIGITS]:
+            with pytest.raises(ValueError):
+                from_decimal(bad)
+
+    def test_errors_name_huge_values(self):
+        big = 10**HUGE_DIGITS
+        with pytest.raises(DomainError, match="need a >= b"):
+            euclid_quotients(big, big + 1)
+        with pytest.raises(DomainError, match="not coprime"):
+            euclid_quotients(2 * big, big)
+
+    def test_ratio_text_past_the_limit(self):
+        r = Ratio(10**HUGE_DIGITS + 1, 10**HUGE_DIGITS)
+        assert Ratio.parse(str(r)) == r
+        assert repr(r).startswith("Ratio(1000")
+
+
+def test_kernel_names_read_by_the_benchmark():
+    # perfbench/run.py prints KERNEL_BACKEND; perfbench/tracer.py wraps
+    # these seven kernels by name
+    assert mobiustree.KERNEL_BACKEND == "pure"
+    for name in (
+        "ext_gcd_raw",
+        "euclid_quotients_raw",
+        "cf_eval_raw",
+        "path_to_matrix_raw",
+        "matrix_to_path_raw",
+        "mat_mul_raw",
+        "cmp_raw",
+    ):
+        assert callable(getattr(kernels, name))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mobiustree.exactmath import Ratio
+from mobiustree.exactmath import DomainError, Ratio
 from mobiustree.encoding import MobiusMatrix, Path, matrix_to_path, path_to_matrix, relative
 from mobiustree.store import (
     CycleError,
@@ -198,6 +198,43 @@ class TestMoveSubtree:
         assert st.resolve("7.1.4").payload == "2.3.4"
 
 
+class TestSlotChoice:
+    """add_child and move_subtree choose a child slot the same way."""
+
+    @pytest.fixture(params=["add_child", "move_subtree"])
+    def place(self, request):
+        """Put a new node under parent at index, by insert or by moving
+        a leaf from root slot 50; returns the placed record."""
+
+        def place(st, parent, index=None):
+            if request.param == "add_child":
+                return st.add_child(parent, "placed", index=index)
+            src = st.add_child("root", "placed", index=50)
+            st.move_subtree(src, parent, index=index)
+            return src
+
+        return place
+
+    @pytest.mark.parametrize("index", [0, -(10**5000)], ids=["zero", "huge-negative"])
+    def test_index_below_one_rejected(self, place, index):
+        st = chain_store("3")
+        with pytest.raises(DomainError):
+            place(st, "3", index)
+
+    def test_occupied_slot_rejected(self, place):
+        st = chain_store("3.2")
+        with pytest.raises(OccupiedSlotError):
+            place(st, "3", 2)
+
+    def test_move_to_own_slot_by_auto_index(self):
+        # the explicit-index case is TestMoveSubtree.test_identity_move
+        st = chain_store("3.1", "3.2")
+        rec = st.resolve("3.2")
+        assert st.move_subtree(rec, st.resolve("3")) == 1
+        assert st.resolve("3.2") is rec
+        assert paths_of(st) == ["3", "3.1", "3.2"]
+
+
 class TestDeleteSubtree:
     def test_leaf(self):
         st = chain_store("3.12")
@@ -292,6 +329,38 @@ class TestPersistence:
         expect_error("mobius-tree v1\n3\t1\t1\t0\tbad\\q\n", 2)  # bad escape
         # orphan: 3.12 without 3
         expect_error("mobius-tree v1\n37\t3\t12\t1\tx\n", 2)
+
+    def test_entries_past_the_int_str_limit(self, tmp_path):
+        big = 10**5000
+        st = TreeStore()
+        top = st.add_child("root", "x", index=big)
+        st.add_child(top, "y")
+        f1, f2 = tmp_path / "a.db", tmp_path / "b.db"
+        st.save(f1)
+        assert ("1" + "0" * 5000 + "\t1\t1\t0\tx") in f1.read_text().splitlines()
+        loaded = TreeStore.load(f1)
+        loaded.save(f2)
+        assert f1.read_bytes() == f2.read_bytes()
+        assert loaded.resolve(Path([big, 1])).payload == "y"
+        with pytest.raises(OccupiedSlotError):
+            loaded.add_child("root", "z", index=big)
+        # the deepest key is "10...01<TAB>10...0<TAB>1<TAB>1", 5001 digits each
+        assert loaded.stats().max_key_bytes == 5001 + 1 + 5001 + 4
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            ("9" * 5000, "1", "1", "1"),  # determinant has 5000 digits
+            ("1", "0", "9" * 5000, "1"),  # c > a
+        ],
+        ids=["determinant", "ordering"],
+    )
+    def test_load_rejects_bad_huge_entries(self, tmp_path, entries):
+        f = tmp_path / "s.db"
+        f.write_text("mobius-tree v1\n" + "\t".join(entries) + "\tx\n")
+        with pytest.raises(LoadError) as ei:
+            TreeStore.load(f)
+        assert ei.value.line == 2
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(StoreError):
