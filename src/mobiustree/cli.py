@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .exactmath import DomainError, Ratio, to_decimal
+from .exactmath import DomainError, Ratio, from_decimal, to_decimal
 from .encoding import (
     MobiusMatrix,
     NestedInterval,
@@ -24,6 +24,15 @@ from .encoding import (
     ratio_to_matrix,
 )
 from .store import ROOT, NodeRecord, StoreError, TreeStore, escape_payload
+
+
+def _slot(text: str) -> int:
+    """argparse type of --index: a decimal int of any length.  The
+    store rejects slots below 1 as a domain error."""
+    try:
+        return from_decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid slot: {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,14 +58,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add = sub.add_parser("add", help="insert a child node")
     add.add_argument("file")
     add.add_argument("--parent", required=True, help='parent path or "root"')
-    add.add_argument("--index", type=int, help="child slot (default: next free)")
+    add.add_argument("--index", type=_slot, help="child slot (default: next free)")
     add.add_argument("--payload", default="", help="payload text (default empty)")
 
     mv = sub.add_parser("mv", help="relocate a subtree")
     mv.add_argument("file")
     mv.add_argument("--node", required=True, help="path of the subtree root")
     mv.add_argument("--to", required=True, help='new parent path or "root"')
-    mv.add_argument("--index", type=int, help="child slot (default: next free)")
+    mv.add_argument("--index", type=_slot, help="child slot (default: next free)")
 
     rm = sub.add_parser("rm", help="delete a subtree")
     rm.add_argument("file")

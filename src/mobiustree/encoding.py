@@ -24,6 +24,7 @@ from . import kernels
 from .exactmath import (
     DomainError,
     Ratio,
+    _unchecked_ratio,
     euclid_quotients,
     ext_gcd,
     from_decimal,
@@ -52,6 +53,8 @@ __all__ = [
     "convergents",
     "depth",
 ]
+
+_PATH_RE = re.compile(r"[0-9]+(?:\.[0-9]+)*\Z")
 
 
 class Path:
@@ -85,10 +88,13 @@ class Path:
         text = text.strip()
         if text in ("", "root"):
             return cls()
-        parts = text.split(".")
-        if not all(re.fullmatch(r"[0-9]+", p) for p in parts):
+        if _PATH_RE.match(text) is None:
             raise DomainError(f"invalid path text: {text!r}")
-        return cls(map(from_decimal, parts))
+        comps = tuple(map(from_decimal, text.split(".")))
+        # digits alone spell no negative component, so 0 is the only bad one
+        if 0 in comps:
+            raise DomainError("path component 0 is < 1")
+        return _unchecked_path(comps)
 
     @property
     def is_root(self) -> bool:
@@ -144,11 +150,14 @@ class MobiusMatrix:
 
     Represents the rational function (a*x + b)/(c*x + d) and equals the
     left-to-right product of primitive factors [[q,1],[1,0]], one per
-    path component.  The constructor enforces the algebraic invariants
-    (nonnegative entries, determinant +-1, and the entry ordering
-    a >= b, a >= c, b >= d, c >= d with a, c >= 1 unless identity);
-    being a genuine product of primitives is checked by matrix_to_path,
-    which every valid matrix must survive.
+    path component.  The public constructor (and parse) enforces the
+    algebraic invariants on caller-supplied entries: nonnegative ints,
+    determinant +-1, and the entry ordering a >= b, a >= c, b >= d,
+    c >= d with a, c >= 1 unless identity.  Being a genuine product of
+    primitives is checked by matrix_to_path, which every valid matrix
+    must survive.  Matrices this module derives from valid ones (child,
+    path_to_matrix, parent) keep the invariants by construction and are
+    not checked again.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -317,6 +326,39 @@ class NestedInterval:
         return f"NestedInterval({self.lo!r}, {self.hi!r}, {self.closed_end!r})"
 
 
+# Unchecked constructors, for values derived from already-valid ones
+# only; every outside value goes through the public constructors.
+_new = object.__new__
+_set_components = Path.__dict__["components"].__set__
+_set_a, _set_b, _set_c, _set_d = (MobiusMatrix.__dict__[n].__set__ for n in "abcd")
+_set_lo, _set_hi, _set_closed_end = (
+    NestedInterval.__dict__[n].__set__ for n in ("lo", "hi", "closed_end")
+)
+
+
+def _unchecked_path(components: tuple[int, ...]) -> Path:
+    p = _new(Path)
+    _set_components(p, components)
+    return p
+
+
+def _unchecked_matrix(a: int, b: int, c: int, d: int) -> MobiusMatrix:
+    m = _new(MobiusMatrix)
+    _set_a(m, a)
+    _set_b(m, b)
+    _set_c(m, c)
+    _set_d(m, d)
+    return m
+
+
+def _unchecked_interval(lo: Ratio, hi: Ratio, closed_end: str) -> NestedInterval:
+    iv = _new(NestedInterval)
+    _set_lo(iv, lo)
+    _set_hi(iv, hi)
+    _set_closed_end(iv, closed_end)
+    return iv
+
+
 def _as_components(p) -> tuple[int, ...]:
     if isinstance(p, Path):
         return p.components
@@ -326,7 +368,7 @@ def _as_components(p) -> tuple[int, ...]:
 def path_to_matrix(p: Path | Sequence[int]) -> MobiusMatrix:
     """Product of primitive factors [[q,1],[1,0]] over the path, left to
     right; the empty path gives the identity."""
-    return MobiusMatrix(*kernels.path_to_matrix_raw(_as_components(p)))
+    return _unchecked_matrix(*kernels.path_to_matrix_raw(_as_components(p)))
 
 
 def matrix_to_path(m: MobiusMatrix) -> Path:
@@ -391,12 +433,18 @@ def matrix_to_interval(m: MobiusMatrix) -> NestedInterval:
     limit a/c at infinity is not (open).  det = -1 means decreasing,
     so the interval is (a/c, (a+b)/(c+d)]; det = +1 gives
     [(a+b)/(c+d), a/c).  The identity maps to [1/1, inf).
+
+    Both endpoints are in lowest terms already: the columns (a, c) and
+    (a+b, c+d) each have determinant +-1 with the second column.
     """
-    open_pt = Ratio(m.a, m.c)
-    closed_pt = Ratio(m.a + m.b, m.c + m.d)
-    if m.det == -1:
-        return NestedInterval(open_pt, closed_pt, "high")
-    return NestedInterval(closed_pt, open_pt, "low")
+    a, b, c, d = m.a, m.b, m.c, m.d
+    open_pt = _unchecked_ratio(a, c)
+    closed_pt = _unchecked_ratio(a + b, c + d)
+    # det is +-1, and -1 and +1 differ mod 4, so the low two bits of the
+    # entries give its sign without multiplying the full entries
+    if ((a & 3) * (d & 3) - (b & 3) * (c & 3)) & 3 == 3:
+        return _unchecked_interval(open_pt, closed_pt, "high")
+    return _unchecked_interval(closed_pt, open_pt, "low")
 
 
 def interval_to_matrix(iv: NestedInterval) -> MobiusMatrix:
@@ -436,22 +484,26 @@ def parent(m: MobiusMatrix) -> MobiusMatrix | None:
     (a - q*b, c - q*d) for the single q in {floor(a/b), floor(a/b) - 1}
     that yields a valid matrix.  (If both candidates had nonnegative
     entries within the ordering bounds, the first would have b = d = 0
-    and determinant 0, so at most one survives.)
+    and determinant 0, so at most one survives.)  Every candidate has
+    determinant -det(m) and b >= d comes from m, so a candidate is
+    valid iff it is the identity or meets the rest of the constructor's
+    ordering: b >= bp, bp >= dp, d >= dp, d >= 1.
     """
-    if m.is_identity:
+    a, b, c, d = m.a, m.b, m.c, m.d
+    if a == 1 and b == 0 and c == 0 and d == 1:
         return None
-    q0 = m.a // m.b
+    q0 = a // b
     for q in (q0, q0 - 1):
         if q < 1:
             continue
-        bp = m.a - q * m.b
-        dp = m.c - q * m.d
+        bp = a - q * b
+        dp = c - q * d
         if bp < 0 or dp < 0:
             continue
-        try:
-            return MobiusMatrix(m.b, bp, m.d, dp)
-        except DomainError:
-            continue
+        if (b == 1 and bp == 0 and d == 0 and dp == 1) or (
+            b >= bp and bp >= dp and d >= dp and d >= 1
+        ):
+            return _unchecked_matrix(b, bp, d, dp)
     raise DomainError("not a path matrix")
 
 
@@ -485,7 +537,9 @@ def child(m: MobiusMatrix, n: int) -> MobiusMatrix:
         raise TypeError("child index must be an int")
     if n < 1:
         raise DomainError(f"child index must be >= 1, got {to_decimal(n)}")
-    return MobiusMatrix(n * m.a + m.b, m.a, n * m.c + m.d, m.c)
+    # with n >= 1 the product keeps m's entry ordering and flips the
+    # determinant's sign, so it needs no check
+    return _unchecked_matrix(n * m.a + m.b, m.a, n * m.c + m.d, m.c)
 
 
 def concat(m1: MobiusMatrix, m2: MobiusMatrix) -> MobiusMatrix:
@@ -513,6 +567,20 @@ def relative(anc: MobiusMatrix, desc: MobiusMatrix) -> MobiusMatrix:
     except DomainError:
         raise DomainError("not a descendant") from None
     return x
+
+
+def _rebase(
+    old: MobiusMatrix, new: MobiusMatrix, descs: Iterable[MobiusMatrix]
+) -> list[MobiusMatrix]:
+    """new * relative(old, m) for each m of descs, which must be old
+    itself or its descendants; not checked.  The product is
+    (new * old^-1) * m, formed once, so a subtree of any depth is
+    re-keyed without peeling each fragment's path: new times a path
+    matrix is a path matrix."""
+    s = old.det
+    t = kernels.mat_mul_raw(*new.entries(), s * old.d, -s * old.b, -s * old.c, s * old.a)
+    mul = kernels.mat_mul_raw
+    return [_unchecked_matrix(*mul(*t, m.a, m.b, m.c, m.d)) for m in descs]
 
 
 def is_ancestor(anc: MobiusMatrix, desc: MobiusMatrix) -> bool:

@@ -206,6 +206,20 @@ class Ratio:
         return kernels.cmp_raw(self.num, self.den, other.num, other.den) >= 0
 
 
+_set_num = Ratio.__dict__["num"].__set__
+_set_den = Ratio.__dict__["den"].__set__
+
+
+def _unchecked_ratio(num: int, den: int) -> Ratio:
+    """Ratio from parts already known to be nonnegative ints in lowest
+    terms, such as a column of a determinant +-1 matrix; skips the
+    constructor's checks and gcd."""
+    r = object.__new__(Ratio)
+    _set_num(r, num)
+    _set_den(r, den)
+    return r
+
+
 INFINITY = Ratio(1, 0)
 
 

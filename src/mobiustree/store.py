@@ -31,14 +31,13 @@ from .encoding import (
     MobiusMatrix,
     NestedInterval,
     Path,
+    _rebase,
     child,
-    concat,
     is_ancestor,
     matrix_to_interval,
     matrix_to_path,
     parent as _matrix_parent,
     path_to_matrix,
-    relative,
 )
 
 __all__ = [
@@ -55,6 +54,10 @@ __all__ = [
 ]
 
 FILE_HEADER = "mobius-tree v1"
+
+# the four matrix fields of a record line, up to the payload's tab
+_ENTRIES_RE = re.compile(r"[0-9]+\t[0-9]+\t[0-9]+\t[0-9]+\t")
+_DIGITS_RE = re.compile(r"[0-9]+")
 
 # sentinel accepted wherever a parent/target node is expected
 ROOT = "root"
@@ -195,10 +198,9 @@ class TreeStore:
         if self._records.get(self._key(record.matrix)) is not record:
             raise MissingNodeError("record is not in this store")
 
-    def _insert(self, record: NodeRecord) -> None:
-        key = self._key(record.matrix)
-        self._records[key] = record
-        pm, slot = _parent_and_slot(record.matrix)
+    def _insert(self, record: NodeRecord, pm: MobiusMatrix, slot: int) -> None:
+        """Add a record whose parent matrix and slot the caller holds."""
+        self._records[self._key(record.matrix)] = record
         self._children.setdefault(self._key(pm), set()).add(slot)
         self._index = None
 
@@ -237,10 +239,19 @@ class TreeStore:
     def _ensure_index(self):
         if self._index is None:
             idx = []
+            max_den = 0
             for key, rec in self._records.items():
                 iv = matrix_to_interval(rec.matrix)
                 idx.append((iv.lo, iv.hi, key, iv))
-            idx.sort(key=lambda t: (t[0], t[1]))
+                max_den = max(max_den, iv.lo.den, iv.hi.den)
+            # Exact integer sort keys floor(r * 2**k): distinct endpoints
+            # p/q != r/s differ by at least 1/(q*s) > 2**-k, so the floors
+            # keep the (lo, hi) order and ties.  Stored nodes are never
+            # the identity, so no endpoint is the 1/0 sentinel.
+            k = 2 * max_den.bit_length() + 2
+            idx.sort(
+                key=lambda t: ((t[0].num << k) // t[0].den, (t[1].num << k) // t[1].den)
+            )
             self._index = idx
         return self._index
 
@@ -302,7 +313,7 @@ class TreeStore:
         chain = []
         m = node.matrix
         while True:
-            pm, _ = _parent_and_slot(m)
+            pm = _matrix_parent(m)
             if pm.is_identity:
                 break
             rec = self._records.get(self._key(pm))
@@ -340,8 +351,9 @@ class TreeStore:
         if not isinstance(payload, str):
             raise TypeError("payload must be str")
         pm = self._resolve_parent_ref(parent)
-        rec = NodeRecord(child(pm, self._choose_slot(pm, index)), payload)
-        self._insert(rec)
+        slot = self._choose_slot(pm, index)
+        rec = NodeRecord(child(pm, slot), payload)
+        self._insert(rec, pm, slot)
         return rec
 
     def delete_subtree(self, node: NodeRecord) -> int:
@@ -372,12 +384,14 @@ class TreeStore:
         old_parent, old_slot = _parent_and_slot(src.matrix)
         vacating = old_slot if old_parent == pm else None
         base = child(pm, self._choose_slot(pm, index, vacating))
-        new_matrices = [concat(base, relative(src.matrix, rec.matrix)) for rec in subtree]
+        # the index scan found exactly src's descendants, so their
+        # fragments below src are valid paths and need no re-peeling
+        new_matrices = _rebase(src.matrix, base, [rec.matrix for rec in subtree])
         for rec in subtree:
             self._remove(rec)
         for rec, m in zip(subtree, new_matrices):
             rec.matrix = m
-            self._insert(rec)
+            self._insert(rec, *_parent_and_slot(m))
         return len(subtree)
 
     # -- persistence ------------------------------------------------------
@@ -428,14 +442,14 @@ class TreeStore:
             raise LoadError(1, f"expected header {FILE_HEADER!r}")
 
         store = cls()
-        line_of: dict[tuple, int] = {}
+        parent_of_line: list[tuple[int, MobiusMatrix]] = []
         for lineno, line in enumerate(lines[1:], start=2):
             fields = line.split("\t")
             if len(fields) != 5:
                 raise LoadError(lineno, f"expected 5 tab-separated fields, got {len(fields)}")
-            for f in fields[:4]:
-                if not re.fullmatch(r"[0-9]+", f):
-                    raise LoadError(lineno, f"non-integer matrix entry {f!r}")
+            if _ENTRIES_RE.match(line) is None:
+                bad = next(f for f in fields[:4] if not _DIGITS_RE.fullmatch(f))
+                raise LoadError(lineno, f"non-integer matrix entry {bad!r}")
             a, b, c, d = map(from_decimal, fields[:4])
             try:
                 m = MobiusMatrix(a, b, c, d)
@@ -451,14 +465,14 @@ class TreeStore:
             except ValueError as e:
                 raise LoadError(lineno, str(e)) from None
             try:
-                store._insert(NodeRecord(m, payload))
+                pm, slot = _parent_and_slot(m)
             except DomainError as e:
                 # matrix passed the cheap checks but is not a primitive product
                 raise LoadError(lineno, str(e)) from None
-            line_of[key] = lineno
+            store._insert(NodeRecord(m, payload), pm, slot)
+            parent_of_line.append((lineno, pm))
 
-        for key, rec in store._records.items():
-            pm, _ = _parent_and_slot(rec.matrix)
+        for lineno, pm in parent_of_line:
             if not pm.is_identity and pm.entries() not in store._records:
-                raise LoadError(line_of[key], f"orphan record: parent {matrix_to_path(pm)} missing")
+                raise LoadError(lineno, f"orphan record: parent {matrix_to_path(pm)} missing")
         return store

@@ -257,6 +257,30 @@ class TestStoreCommands:
         code, out, _ = run(capsys, "stats", f)
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["add", "mv"])
+    def test_index_past_the_int_str_limit(self, store_file, capsys, command):
+        nines = "9" * 5000
+        if command == "add":
+            argv = ["add", store_file, "--parent", "4", "--payload", "x", "--index", nines]
+        else:
+            argv = ["mv", store_file, "--node", "3.12", "--to", "4", "--index", nines]
+        assert run(capsys, *argv)[0] == 0
+        code, out, _ = run(capsys, "ls", store_file, "--node", "4")
+        assert code == 0
+        assert [line.split("\t")[0] for line in out.splitlines()] == [f"4.{nines}", "4.7"]
+
+    @pytest.mark.parametrize(
+        "index, exit_code", [("abc", 2), ("1.5", 2), ("0", 3), ("-5", 3)]
+    )
+    @pytest.mark.parametrize("command", ["add", "mv"])
+    def test_index_errors(self, store_file, capsys, command, index, exit_code):
+        if command == "add":
+            argv = ["add", store_file, "--parent", "4", "--index", index]
+        else:
+            argv = ["mv", store_file, "--node", "3.12", "--to", "4", "--index", index]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (exit_code, "")
+
     def test_tree_survives_very_deep_chains(self, tmp_path, capsys):
         from mobiustree import TreeStore
 

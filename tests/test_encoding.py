@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from mobiustree.encoding import (
     MobiusMatrix,
     NestedInterval,
     Path,
+    _rebase,
     child,
     concat,
     convergents,
@@ -465,3 +467,62 @@ class TestWorstCaseGrowth:
         rng = random.Random(7)
         for comps in random_paths(rng, 200, max_depth=40):
             assert path_to_matrix(comps).det == (-1) ** len(comps)
+
+
+class TestTrustedDerivations:
+    """Values the module derives from valid ones skip the public checks;
+    each must still be a value the public constructors accept."""
+
+    @given(st.one_of(paths, wide_paths), st.integers(1, 10**6))
+    def test_derived_values_pass_the_public_checks(self, comps, n):
+        m = path_to_matrix(comps)
+        assert m.entries() == primitive_product(comps)
+        kid = child(m, n)
+        derived = [m, kid]
+        if comps:
+            pm = parent(m)
+            assert pm.entries() == primitive_product(comps[:-1])
+            derived.append(pm)
+        for x in derived:
+            assert MobiusMatrix(*x.entries()) == x
+            iv = matrix_to_interval(x)
+            for end in (iv.lo, iv.hi):
+                # the constructor reduces, so equality means already reduced
+                assert Ratio(end.num, end.den) == end
+            assert NestedInterval(iv.lo, iv.hi, iv.closed_end) == iv
+        assert parent(kid) == m
+        p = Path(comps)
+        assert Path.parse(str(p)) == p
+
+    @given(paths, paths, st.lists(paths, max_size=4))
+    def test_rebase_keeps_each_fragment(self, old, new, frags):
+        # the subtree of old, with the fragment below it of each node
+        frags = [()] + frags
+        descs = [path_to_matrix(old + f) for f in frags]
+        moved = _rebase(path_to_matrix(old), path_to_matrix(new), descs)
+        for m, f in zip(moved, frags):
+            assert m.entries() == primitive_product(new + f)
+            assert MobiusMatrix(*m.entries()) == m
+
+    def test_parent_picks_the_candidate_the_constructor_accepts(self):
+        # every matrix the public constructor accepts, entries below 16
+        for a, b, c, d in itertools.product(range(16), repeat=4):
+            try:
+                m = MobiusMatrix(a, b, c, d)
+            except DomainError:
+                continue
+            if m.is_identity:
+                continue
+            valid = []
+            for q in (a // b, a // b - 1):
+                try:
+                    valid.append(MobiusMatrix(b, a - q * b, d, c - q * d))
+                except DomainError:
+                    pass
+            assert len(valid) == 1
+            assert parent(m) == valid[0]
+
+    @pytest.mark.parametrize("text", ["3.0.1", "0", "00", "3.00"])
+    def test_parse_still_rejects_zero_components(self, text):
+        with pytest.raises(DomainError):
+            Path.parse(text)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,13 @@ from mobiustree.store import (
     unescape_payload,
 )
 
-from oracles import build_store_from_paths, is_proper_prefix, random_forest
+from oracles import (
+    build_store_from_paths,
+    is_proper_prefix,
+    mat_mul4,
+    primitive_product,
+    random_forest,
+)
 
 
 def paths_of(store):
@@ -374,6 +381,120 @@ class TestPersistence:
         st.save(f)
         assert len(TreeStore.load(f)) == 2
         assert list(tmp_path.iterdir()) == [f]  # no temp leftovers
+
+
+def oracle_interval(matrix):
+    """(lo, hi) of a matrix's interval as Fractions: the endpoints a/c
+    and (a+b)/(c+d) in increasing order."""
+    a, b, c, d = matrix
+    return tuple(sorted([Fraction(a, c), Fraction(a + b, c + d)]))
+
+
+class TestIndexOrderOracle:
+    """all_nodes() and the saved line order against an interval order
+    computed with Fraction from oracle primitive products alone."""
+
+    @staticmethod
+    def check(store, tmp_path, path_of):
+        """path_of maps each record's payload to its path tuple."""
+        paths = sorted(path_of.values(), key=len)
+        product = {(): primitive_product(())}
+        for p in paths:  # parents first: one primitive factor per node
+            product[p] = mat_mul4(product[p[:-1]], primitive_product(p[-1:]))
+        want = sorted(paths, key=lambda p: oracle_interval(product[p]))
+        assert [path_of[rec.payload] for rec in store.all_nodes()] == want
+        f = tmp_path / "s.db"
+        store.save(f)
+        saved = [tuple(map(int, line.split("\t")[:4])) for line in f.read_text().splitlines()[1:]]
+        assert saved == [product[p] for p in want]
+        return want, product
+
+    @staticmethod
+    def dotted(paths):
+        return {".".join(map(str, p)): tuple(p) for p in paths}
+
+    def test_random_forests(self, tmp_path):
+        rng = random.Random(41)
+        for size in (1, 2, 60, 400):
+            paths = random_forest(rng, size)
+            store = build_store_from_paths(TreeStore, paths)
+            self.check(store, tmp_path, self.dotted(paths))
+
+    def test_deep_spines_with_huge_endpoints(self, tmp_path):
+        st = TreeStore()
+        path_of = {}
+
+        def add(parent, path):
+            path_of[str(len(path_of))] = path
+            return st.add_child(parent, str(len(path_of) - 1), index=path[-1])
+
+        for top in (1, 2, 3):
+            ref = add("root", (top,))
+            path = (top,)
+            for level in range(1500):
+                path += (1,)
+                ref = add(ref, path)
+                if level % 300 == 299:
+                    # siblings and a nephew right next to the spine
+                    for n in (2, 3):
+                        add(add(ref, path + (n,)), path + (n, 1))
+        _, product = self.check(st, tmp_path, path_of)
+        max_den_bits = max((c + d).bit_length() for _, _, c, d in product.values())
+        assert 2 * max_den_bits + 2 > 2000  # the sort key's shift k
+
+    def test_after_mutations(self, tmp_path):
+        """Index order after every mutation step, including steps that
+        take keys out and put the same keys back."""
+        rng = random.Random(43)
+        paths = random_forest(rng, 150)
+        store = build_store_from_paths(TreeStore, paths)
+        path_of = self.dotted(paths)
+        self.check(store, tmp_path, path_of)
+
+        def free_slot(parent):
+            taken = [p[-1] for p in path_of.values() if p[:-1] == parent]
+            return max(taken, default=0) + rng.randint(1, 3)
+
+        def under(p, top):
+            return p[: len(top)] == top
+
+        def move(payload, parent, slot):
+            src = path_of[payload]
+            target = ".".join(map(str, parent)) or "root"
+            store.move_subtree(store.resolve(".".join(map(str, src))), target, index=slot)
+            for k, p in path_of.items():
+                if under(p, src):
+                    path_of[k] = parent + (slot,) + p[len(src):]
+
+        for step in range(60):
+            payload = rng.choice(sorted(path_of))
+            src = path_of[payload]
+            kind = step % 4
+            if kind == 0:  # insert under the node or the root
+                parent, ref = rng.choice([((), "root"), (src, ".".join(map(str, src)))])
+                slot = free_slot(parent)
+                store.add_child(ref, f"n{step}", index=slot)
+                path_of[f"n{step}"] = parent + (slot,)
+            elif kind == 1:  # move elsewhere
+                targets = [p for p in path_of.values() if not under(p, src)]
+                parent = rng.choice([()] + targets)
+                move(payload, parent, free_slot(parent))
+            elif kind == 2:  # move away and back: the old keys return
+                move(payload, (), free_slot(()))
+                move(payload, src[:-1], src[-1])
+            else:  # delete, then bring the top back under its old key
+                doomed = [k for k, p in path_of.items() if under(p, src)]
+                assert store.delete_subtree(store.resolve(".".join(map(str, src)))) == len(doomed)
+                for k in doomed:
+                    del path_of[k]
+                store.add_child(".".join(map(str, src[:-1])) or "root", payload, index=src[-1])
+                path_of[payload] = src
+            self.check(store, tmp_path, path_of)
+
+    def test_equal_low_endpoints(self, tmp_path):
+        store = chain_store("3.2.1.5")
+        want, _ = self.check(store, tmp_path, self.dotted([(3,), (3, 2), (3, 2, 1), (3, 2, 1, 5)]))
+        assert want == [(3,), (3, 2, 1), (3, 2), (3, 2, 1, 5)]
 
 
 class TestStats:
