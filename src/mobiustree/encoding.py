@@ -588,7 +588,9 @@ def is_ancestor(anc: MobiusMatrix, desc: MobiusMatrix) -> bool:
     equation anc * X = desc has a path solution.
 
     Coincides with proper containment of desc's interval in anc's
-    (NestedInterval.encloses), the route the store's index scan uses.
+    (NestedInterval.encloses).  The store's descendants query finds the
+    same nodes without either test, as one slice of its index ordered
+    by integer-scaled interval endpoints.
     """
     if anc == desc:
         return False

@@ -62,18 +62,19 @@ def to_decimal(n: int) -> str:
 
 def from_decimal(text: str) -> int:
     """The int spelled by decimal text of any length; int(text) within
-    CPython's int/str digit limit, plain ASCII digits past it.  Raises
-    ValueError otherwise."""
+    CPython's int/str digit limit, plain ASCII digits after at most one
+    leading "-" past it.  Raises ValueError otherwise."""
     try:
         return int(text)
     except ValueError:
-        if not (text.isascii() and text.isdigit()):
+        digits = text[1:] if text.startswith("-") else text
+        if not (digits.isascii() and digits.isdigit()):
             raise
-    head = len(text) % _CHUNK_DIGITS or _CHUNK_DIGITS
-    n = int(text[:head])
-    for i in range(head, len(text), _CHUNK_DIGITS):
-        n = n * _CHUNK + int(text[i : i + _CHUNK_DIGITS])
-    return n
+    head = len(digits) % _CHUNK_DIGITS or _CHUNK_DIGITS
+    n = int(digits[:head])
+    for i in range(head, len(digits), _CHUNK_DIGITS):
+        n = n * _CHUNK + int(digits[i : i + _CHUNK_DIGITS])
+    return -n if text.startswith("-") else n
 
 
 def gcd(a: int, b: int) -> int:

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Iterable, Union
 
-from .exactmath import DomainError, Ratio, from_decimal, to_decimal
+from .exactmath import DomainError, from_decimal, to_decimal
 from .encoding import (
     MobiusMatrix,
-    NestedInterval,
     Path,
     _rebase,
     child,
@@ -123,29 +122,33 @@ def escape_payload(payload: str) -> str:
     return payload.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
+_ESCAPE_RE = re.compile(r"\\(.?)", re.DOTALL)
+_UNESCAPED = {"t": "\t", "n": "\n", "\\": "\\"}
+
+
+def _unescape_one(match: re.Match) -> str:
+    ch = match.group(1)
+    if ch in _UNESCAPED:
+        return _UNESCAPED[ch]
+    if not ch:
+        raise ValueError("dangling backslash in payload")
+    raise ValueError(f"bad escape \\{ch} in payload")
+
+
 def unescape_payload(text: str) -> str:
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= n:
-            raise ValueError("dangling backslash in payload")
-        nxt = text[i + 1]
-        if nxt == "t":
-            out.append("\t")
-        elif nxt == "n":
-            out.append("\n")
-        elif nxt == "\\":
-            out.append("\\")
-        else:
-            raise ValueError(f"bad escape \\{nxt} in payload")
-        i += 2
-    return "".join(out)
+    return _ESCAPE_RE.sub(_unescape_one, text)
+
+
+def _endpoint_keys(m: MobiusMatrix, k: int) -> tuple[int, int]:
+    """floor(lo * 2**k), floor(hi * 2**k) for the endpoints a/c and
+    (a+b)/(c+d) of m's interval; a non-identity m has c >= 1."""
+    a, b, c, d = m.a, m.b, m.c, m.d
+    open_key = (a << k) // c
+    closed_key = ((a + b) << k) // (c + d)
+    # det is +-1, and -1 and +1 differ mod 4: det -1 is (a/c, (a+b)/(c+d)]
+    if ((a & 3) * (d & 3) - (b & 3) * (c & 3)) & 3 == 3:
+        return open_key, closed_key
+    return closed_key, open_key
 
 
 def _parent_and_slot(m: MobiusMatrix) -> tuple[MobiusMatrix, int]:
@@ -164,8 +167,11 @@ class TreeStore:
         self._records: dict[tuple[int, int, int, int], NodeRecord] = {}
         # parent matrix key -> occupied child indices
         self._children: dict[tuple[int, int, int, int], set[int]] = {}
-        # (lo, hi, key, interval) sorted by (lo, hi); rebuilt lazily
-        self._index: list[tuple[Ratio, Ratio, tuple, NestedInterval]] | None = None
+        # (lo_key, hi_key, record) sorted by key, where a key is the
+        # endpoint scaled by 2**_shift and floored (see _endpoint_keys);
+        # rebuilt lazily after any mutation
+        self._index: list[tuple[int, int, NodeRecord]] | None = None
+        self._shift = 0
 
     # -- plumbing ---------------------------------------------------------
 
@@ -236,22 +242,18 @@ class TreeStore:
             )
         return index
 
-    def _ensure_index(self):
+    def _ensure_index(self) -> list[tuple[int, int, NodeRecord]]:
         if self._index is None:
-            idx = []
-            max_den = 0
-            for key, rec in self._records.items():
-                iv = matrix_to_interval(rec.matrix)
-                idx.append((iv.lo, iv.hi, key, iv))
-                max_den = max(max_den, iv.lo.den, iv.hi.den)
-            # Exact integer sort keys floor(r * 2**k): distinct endpoints
+            recs = self._records.values()
+            # Exact integer keys floor(r * 2**k): distinct endpoints
             # p/q != r/s differ by at least 1/(q*s) > 2**-k, so the floors
-            # keep the (lo, hi) order and ties.  Stored nodes are never
-            # the identity, so no endpoint is the 1/0 sentinel.
-            k = 2 * max_den.bit_length() + 2
-            idx.sort(
-                key=lambda t: ((t[0].num << k) // t[0].den, (t[1].num << k) // t[1].den)
-            )
+            # keep the (lo, hi) order and ties.  c + d is the larger of a
+            # node's two endpoint denominators.
+            max_den = max((r.matrix.c + r.matrix.d for r in recs), default=0)
+            k = self._shift = 2 * max_den.bit_length() + 2
+            idx = [(*_endpoint_keys(r.matrix, k), r) for r in recs]
+            # no two nodes share both endpoints, so records never compare
+            idx.sort()
             self._index = idx
         return self._index
 
@@ -275,7 +277,7 @@ class TreeStore:
 
     def all_nodes(self) -> list[NodeRecord]:
         """Every record, ordered by interval low then high endpoint."""
-        return [self._records[key] for _, _, key, _ in self._ensure_index()]
+        return [rec for _, _, rec in self._ensure_index()]
 
     def children(self, parent: ParentRef = ROOT) -> list[NodeRecord]:
         """Immediate children of a node (or of the root), ordered by
@@ -288,22 +290,29 @@ class TreeStore:
 
     def descendants(self, node: NodeRecord) -> list[NodeRecord]:
         """All records whose interval nests strictly inside the node's,
-        by a range scan over the ordered index; ordered by interval low
-        endpoint."""
+        as one slice of the ordered index; ordered by interval low
+        endpoint.
+
+        Tree intervals are nested or disjoint, so a record whose low
+        endpoint lies strictly inside the node's interval is a
+        descendant, and one whose low endpoint is the node's high
+        endpoint is not.  Records sharing the node's low endpoint are
+        its ancestors, itself and its descendants, ordered by high
+        endpoint; only those that end below the node's high endpoint
+        are descendants.
+        """
         self._require(node)
-        own = matrix_to_interval(node.matrix)
-        own_key = self._key(node.matrix)
         idx = self._ensure_index()
-        # probe (lo,) sorts before every full entry with the same lo
-        i = bisect.bisect_left(idx, (own.lo,))
+        lo, hi = _endpoint_keys(node.matrix, self._shift)
+        # probe (key,) sorts before every full entry with that low key
+        i = bisect.bisect_left(idx, (lo,))
+        j = bisect.bisect_left(idx, (hi,), i)
         out = []
-        while i < len(idx):
-            lo, hi, key, iv = idx[i]
-            if own.hi < lo:
-                break
-            if key != own_key and own.encloses(iv):
-                out.append(self._records[key])
+        while i < j and idx[i][0] == lo:
+            if idx[i][1] < hi:
+                out.append(idx[i][2])
             i += 1
+        out += [rec for _, _, rec in idx[i:j]]
         return out
 
     def ancestors(self, node: NodeRecord) -> list[NodeRecord]:
@@ -330,11 +339,18 @@ class TreeStore:
         """Exact aggregates; key bytes measure the tab-joined decimal
         matrix entries, the key portion of a record line."""
         max_depth = 0
+        # depths by walking the child slots down from the root: one
+        # child() per record, where decoding a path costs O(depth)
+        stack = [(MobiusMatrix.IDENTITY, 0)]
+        while stack:
+            pm, depth = stack.pop()
+            max_depth = max(max_depth, depth)
+            for slot in self._children.get(self._key(pm), ()):
+                stack.append((child(pm, slot), depth + 1))
         max_bits = 0
         max_key = 0
         for rec in self._records.values():
             m = rec.matrix
-            max_depth = max(max_depth, len(matrix_to_path(m)))
             max_bits = max(max_bits, m.a.bit_length())
             max_key = max(max_key, len("\t".join(map(to_decimal, m.entries()))))
         return StoreStats(len(self._records), max_depth, max_bits, max_key)
@@ -401,9 +417,9 @@ class TreeStore:
         interval key; save/load/save is byte-identical."""
         destination = FsPath(destination)
         lines = [FILE_HEADER]
-        for _, _, key, _ in self._ensure_index():
-            rec = self._records[key]
-            lines.append("\t".join([*map(to_decimal, key), escape_payload(rec.payload)]))
+        for _, _, rec in self._ensure_index():
+            entries = rec.matrix.entries()
+            lines.append("\t".join([*map(to_decimal, entries), escape_payload(rec.payload)]))
         data = ("\n".join(lines) + "\n").encode()
         try:
             fd, tmp = tempfile.mkstemp(

@@ -270,7 +270,15 @@ class TestStoreCommands:
         assert [line.split("\t")[0] for line in out.splitlines()] == [f"4.{nines}", "4.7"]
 
     @pytest.mark.parametrize(
-        "index, exit_code", [("abc", 2), ("1.5", 2), ("0", 3), ("-5", 3)]
+        "index, exit_code",
+        [
+            ("abc", 2),
+            ("1.5", 2),
+            ("0", 3),
+            ("-5", 3),
+            # past CPython's int/str digit limit
+            pytest.param("-" + "9" * 5000, 3, id="huge-negative-3"),
+        ],
     )
     @pytest.mark.parametrize("command", ["add", "mv"])
     def test_index_errors(self, store_file, capsys, command, index, exit_code):

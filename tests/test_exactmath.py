@@ -217,9 +217,18 @@ class TestDecimalText:
         assert from_decimal(to_decimal(n)) == n
 
     def test_rejects_non_digits_past_the_limit(self):
-        for bad in ["9" * HUGE_DIGITS + "x", "-" + "9" * HUGE_DIGITS, " " + "9" * HUGE_DIGITS]:
+        nines = "9" * HUGE_DIGITS
+        for bad in [nines + "x", " " + nines, "+" + nines, "--" + nines, "-+" + nines,
+                    "- " + nines, "-" + nines + "-", nines[:9] + "_" + nines, "-"]:
             with pytest.raises(ValueError):
                 from_decimal(bad)
+
+    def test_negative_past_the_limit(self):
+        text = "-" + "9" * HUGE_DIGITS
+        assert from_decimal(text) == -(10**HUGE_DIGITS - 1)
+        assert to_decimal(from_decimal(text)) == text
+        n = -(10**HUGE_DIGITS + 7)
+        assert from_decimal(to_decimal(n)) == n
 
     def test_errors_name_huge_values(self):
         big = 10**HUGE_DIGITS

@@ -1,7 +1,9 @@
+import bisect
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies
 
 from mobiustree.exactmath import DomainError, Ratio
 from mobiustree.encoding import MobiusMatrix, Path, matrix_to_path, path_to_matrix, relative
@@ -316,6 +318,30 @@ class TestPersistence:
         with pytest.raises(ValueError):
             unescape_payload("dangling\\")
 
+    @given(strategies.text())
+    def test_escape_roundtrip(self, s):
+        assert unescape_payload(escape_payload(s)) == s
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("dangling\\", "dangling backslash in payload"),
+            ("\\\\\\", "dangling backslash in payload"),
+            ("bad\\x", "bad escape \\x in payload"),
+            ("\\T", "bad escape \\T in payload"),
+            ("\\0", "bad escape \\0 in payload"),
+            ("a\\ b", "bad escape \\  in payload"),
+            ("\\\t", "bad escape \\\t in payload"),
+            ("\\\nx", "bad escape \\\n in payload"),
+            ("\\\u00e9", "bad escape \\\u00e9 in payload"),
+            ("\\t\\q\\", "bad escape \\q in payload"),
+        ],
+    )
+    def test_unescape_errors(self, text, message):
+        with pytest.raises(ValueError) as ei:
+            unescape_payload(text)
+        assert str(ei.value) == message
+
     def test_load_errors_name_lines(self, tmp_path):
         f = tmp_path / "s.db"
 
@@ -497,6 +523,35 @@ class TestIndexOrderOracle:
         assert want == [(3,), (3, 2, 1), (3, 2), (3, 2, 1, 5)]
 
 
+class TestDescendantsSliceOracle(TestIndexOrderOracle):
+    """Every store of the index-order oracle again, now also checking
+    descendants() of every node: the path-prefix block of the
+    lexicographic path order, listed in the oracle's interval order."""
+
+    @staticmethod
+    def check(store, tmp_path, path_of):
+        want, product = TestIndexOrderOracle.check(store, tmp_path, path_of)
+        # payloads stand for paths below: long tuples rehash on each lookup
+        payload_of = {p: k for k, p in path_of.items()}
+        rank = {payload_of[p]: i for i, p in enumerate(want)}
+        lex = sorted(want)
+        lex_payloads = [payload_of[p] for p in lex]
+        record_of = {rec.payload: rec for rec in store}
+        for s, p in enumerate(lex):
+            # q has p as a proper prefix iff p < q < p with its last
+            # component incremented
+            e = bisect.bisect_left(lex, p[:-1] + (p[-1] + 1,), s)
+            expected = sorted(lex_payloads[s + 1 : e], key=rank.__getitem__)
+            got = [rec.payload for rec in store.descendants(record_of[lex_payloads[s]])]
+            assert got == expected, p
+        return want, product
+
+    def test_first_child_chains(self, tmp_path):
+        store = chain_store("1.1.1.1.1.1.1.1", "3.1.1.1", "3.2.1.5", "3.2.1.1.1", "2.1.1.2")
+        path_of = {rec.payload: tuple(map(int, rec.payload.split("."))) for rec in store}
+        self.check(store, tmp_path, path_of)
+
+
 class TestStats:
     def test_empty(self):
         s = TreeStore().stats()
@@ -519,6 +574,24 @@ class TestStats:
         s = st.stats()
         assert s.max_depth == 40
         assert s.max_numerator_bits == 28  # 165580141
+
+    def test_deep_spines_match_the_oracle(self):
+        st = TreeStore()
+        product = {(): primitive_product(())}
+        for top in (1, 3, 5, 7):
+            ref, path = "root", ()
+            for slot in (top,) + (1,) * 300:
+                # the next spine node, and a side leaf in the slot after it
+                for n in (slot + 1, slot):
+                    product[path + (n,)] = mat_mul4(product[path], primitive_product((n,)))
+                    node = st.add_child(ref, "x", index=n)
+                ref, path = node, path + (slot,)
+        del product[()]
+        s = st.stats()
+        assert s.nodes == len(product)
+        assert s.max_depth == max(map(len, product)) == 301
+        assert s.max_numerator_bits == max(m[0].bit_length() for m in product.values())
+        assert s.max_key_bytes == max(len("\t".join(map(str, m))) for m in product.values())
 
 
 class TestClosureAndIntegrity:
