@@ -114,7 +114,6 @@ def _cmd_encode(args, out) -> int:
         m = ratio_to_matrix(Ratio.parse(args.ratio))
     else:
         m = MobiusMatrix.parse(args.matrix)
-    matrix_to_path(m)  # reject non-path matrices up front
     _print_node_report(m, out)
     return 0
 

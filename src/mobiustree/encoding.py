@@ -153,11 +153,16 @@ class MobiusMatrix:
     path component.  The public constructor (and parse) enforces the
     algebraic invariants on caller-supplied entries: nonnegative ints,
     determinant +-1, and the entry ordering a >= b, a >= c, b >= d,
-    c >= d with a, c >= 1 unless identity.  Being a genuine product of
-    primitives is checked by matrix_to_path, which every valid matrix
-    must survive.  Matrices this module derives from valid ones (child,
-    path_to_matrix, parent) keep the invariants by construction and are
-    not checked again.
+    c >= d with a, c >= 1 unless identity.
+
+    Every matrix these checks accept is a product of primitives, so the
+    constructor alone decides whether four integers are a node.  By
+    induction on a: if d = 0 the ordering forces b = c = 1, i.e. the
+    primitive [[a,1],[1,0]]; otherwise |a/c - b/d| = 1/(c*d), and with
+    q = min(a//c, b//d) the remainder [[q,1],[1,0]]^-1 * M again meets
+    every check with a smaller a.  Matrices this module derives from
+    valid ones (child, path_to_matrix, parent) keep the invariants by
+    construction and are not checked again.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -376,12 +381,10 @@ def matrix_to_path(m: MobiusMatrix) -> Path:
 
     Quotients are peeled off the left: q = floor(a/c) when d = 0, else
     min(floor(a/c), floor(b/d)); the min rule is what makes trailing-1
-    (non-canonical) matrices decode correctly.
+    (non-canonical) matrices decode correctly.  Every valid matrix has
+    such a path (see MobiusMatrix), so this never fails.
     """
-    try:
-        return Path(kernels.matrix_to_path_raw(m.a, m.b, m.c, m.d))
-    except ValueError as e:
-        raise DomainError(str(e)) from None
+    return _unchecked_path(tuple(kernels.matrix_to_path_raw(m.a, m.b, m.c, m.d)))
 
 
 def path_to_ratio(p: Path | Sequence[int]) -> Ratio:
@@ -480,31 +483,21 @@ def parent(m: MobiusMatrix) -> MobiusMatrix | None:
     """Matrix of the path with the last component removed; None for the
     identity.
 
-    O(1): the parent's first column is (b, d), and its second column is
-    (a - q*b, c - q*d) for the single q in {floor(a/b), floor(a/b) - 1}
-    that yields a valid matrix.  (If both candidates had nonnegative
-    entries within the ordering bounds, the first would have b = d = 0
-    and determinant 0, so at most one survives.)  Every candidate has
-    determinant -det(m) and b >= d comes from m, so a candidate is
-    valid iff it is the identity or meets the rest of the constructor's
-    ordering: b >= bp, bp >= dp, d >= dp, d >= 1.
+    O(1): m = P * [[q,1],[1,0]] puts the parent P's first column at
+    (b, d) and its second at (a - q*b, c - q*d).  As 0 <= P.b <= P.a = b,
+    q is floor(a/b), or one less when P.b = b; that happens only for
+    P = [[1,1],[1,0]], and exactly when c - floor(a/b)*d comes out
+    negative.
     """
     a, b, c, d = m.a, m.b, m.c, m.d
     if a == 1 and b == 0 and c == 0 and d == 1:
         return None
-    q0 = a // b
-    for q in (q0, q0 - 1):
-        if q < 1:
-            continue
-        bp = a - q * b
-        dp = c - q * d
-        if bp < 0 or dp < 0:
-            continue
-        if (b == 1 and bp == 0 and d == 0 and dp == 1) or (
-            b >= bp and bp >= dp and d >= dp and d >= 1
-        ):
-            return _unchecked_matrix(b, bp, d, dp)
-    raise DomainError("not a path matrix")
+    q = a // b
+    dp = c - q * d
+    if dp < 0:
+        q -= 1
+        dp += d
+    return _unchecked_matrix(b, a - q * b, d, dp)
 
 
 def next_sibling(m: MobiusMatrix) -> MobiusMatrix:
@@ -552,21 +545,18 @@ def relative(anc: MobiusMatrix, desc: MobiusMatrix) -> MobiusMatrix:
     down to desc.
 
     anc is inverted exactly: det being +-1 makes the integer adjugate
-    det * [[d,-b],[-c,a]] the true inverse.  X must itself be a valid
-    path matrix (anc's path a prefix of desc's); otherwise raises
+    det * [[d,-b],[-c,a]] the true inverse.  X is a path matrix, and
+    anc's path a prefix of desc's, exactly when the MobiusMatrix
+    constructor accepts it (every matrix it accepts is a primitive
+    product), so the test is O(1) and peels no path; otherwise raises
     DomainError("not a descendant").  relative(m, m) is the identity.
     """
     s = anc.det
     inv = (s * anc.d, -s * anc.b, -s * anc.c, s * anc.a)
-    xa, xb, xc, xd = kernels.mat_mul_raw(*inv, *desc.entries())
-    if xa < 0 or xb < 0 or xc < 0 or xd < 0:
-        raise DomainError("not a descendant")
     try:
-        x = MobiusMatrix(xa, xb, xc, xd)
-        matrix_to_path(x)
+        return MobiusMatrix(*kernels.mat_mul_raw(*inv, *desc.entries()))
     except DomainError:
         raise DomainError("not a descendant") from None
-    return x
 
 
 def _rebase(
@@ -585,7 +575,9 @@ def _rebase(
 
 def is_ancestor(anc: MobiusMatrix, desc: MobiusMatrix) -> bool:
     """Strict ancestor test by arithmetic: anc != desc and the matrix
-    equation anc * X = desc has a path solution.
+    equation anc * X = desc has a path solution.  O(1), a fixed number
+    of integer operations: one matrix product and the constructor's
+    checks (see relative).
 
     Coincides with proper containment of desc's interval in anc's
     (NestedInterval.encloses).  The store's descendants query finds the

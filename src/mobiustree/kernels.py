@@ -1,10 +1,10 @@
 """Integer arithmetic kernels: the hot inner loops of the encoding.
 
-All functions work on plain unbounded ``int`` values, assume their
-documented preconditions, and raise ``ValueError`` (never a package
-exception) so the wrappers in ``exactmath`` and ``encoding`` own error
-typing.  Callers reach them as ``kernels.<name>`` so a profiler can
-rebind each one in this module alone.
+All functions work on plain unbounded ``int`` values and assume their
+documented preconditions without checking them: the public constructors
+and wrappers in ``exactmath`` and ``encoding`` validate every value once,
+where it enters the library.  Callers reach them as ``kernels.<name>``
+so a profiler can rebind each one in this module alone.
 """
 
 
@@ -49,11 +49,7 @@ def cf_eval_raw(components):
     """
     num, den = 1, 0
     for q in reversed(components):
-        if q < 1:
-            raise ValueError("continued-fraction terms must be >= 1")
         num, den = q * num + den, num
-    if den == 0:
-        raise ValueError("empty continued fraction has no value")
     return num, den
 
 
@@ -64,8 +60,6 @@ def path_to_matrix_raw(components):
     """
     a, b, c, d = 1, 0, 0, 1
     for q in components:
-        if q < 1:
-            raise ValueError("path components must be >= 1")
         a, b = a * q + b, a
         c, d = c * q + d, c
     return a, b, c, d
@@ -75,30 +69,18 @@ def matrix_to_path_raw(a, b, c, d):
     """Peel primitive factors off [[a,b],[c,d]], returning the quotients.
 
     Inverse of path_to_matrix_raw for any product of primitives,
-    including non-canonical (trailing-1) ones: the quotient is
-    floor(a/c) when d = 0 and min(floor(a/c), floor(b/d)) otherwise,
-    which is the only choice that keeps the remainder matrix valid.
-    Raises ValueError("not a path matrix: ...") when no factorization
-    exists.
+    including non-canonical (trailing-1) ones, which is every matrix the
+    MobiusMatrix constructor accepts.  The quotient is
+    min(floor(a/c), floor(b/d)) (floor(a/c) when d = 0), the only choice
+    that keeps the remainder a path matrix; a/c and b/d differ by
+    1/(c*d), so the min is floor(a/c) or one less.
     """
-    if a < 0 or b < 0 or c < 0 or d < 0:
-        raise ValueError("not a path matrix: negative entry")
-    det = a * d - b * c
-    if det != 1 and det != -1:
-        raise ValueError("not a path matrix: determinant %d" % det)
     out = []
-    while not (a == 1 and b == 0 and c == 0 and d == 1):
-        if c == 0:
-            raise ValueError("not a path matrix: no factor left")
-        if d == 0:
-            q = a // c
-        else:
-            q = min(a // c, b // d)
-        if q < 1:
-            raise ValueError("not a path matrix: zero quotient")
+    while c:
+        q = a // c
+        if b - q * d < 0:
+            q -= 1
         a, b, c, d = c, d, a - q * c, b - q * d
-        if c < 0 or d < 0:
-            raise ValueError("not a path matrix: negative remainder")
         out.append(q)
     return out
 

@@ -9,7 +9,8 @@ algebra.
 Persistence format ("mobius-tree v1"): a header line, then one record
 per line as a<TAB>b<TAB>c<TAB>d<TAB>payload with the matrix entries in
 decimal, lines sorted by interval low then high endpoint, LF endings,
-UTF-8.  Payloads escape tab, newline and backslash as \\t, \\n, \\\\.
+UTF-8.  Payloads escape tab, newline and backslash as \\t, \\n, \\\\;
+any other character, CR included, is written as is.
 
 Concurrency contract: any number of readers or a single mutator; the
 store does not lock internally.  Query results are plain lists.
@@ -33,7 +34,6 @@ from .encoding import (
     _rebase,
     child,
     is_ancestor,
-    matrix_to_interval,
     matrix_to_path,
     parent as _matrix_parent,
     path_to_matrix,
@@ -281,12 +281,15 @@ class TreeStore:
 
     def children(self, parent: ParentRef = ROOT) -> list[NodeRecord]:
         """Immediate children of a node (or of the root), ordered by
-        interval low endpoint."""
+        interval low endpoint.
+
+        Child n's interval is the image of (n, n+1] under the parent's
+        map (a*x + b)/(c*x + d), which keeps order for determinant +1
+        and reverses it for -1, so the slots sorted that way give the
+        interval order."""
         pm = self._resolve_parent_ref(parent)
-        slots = self._children.get(self._key(pm), ())
-        recs = [self._records[self._key(child(pm, n))] for n in slots]
-        recs.sort(key=lambda r: matrix_to_interval(r.matrix).lo)
-        return recs
+        slots = sorted(self._children.get(self._key(pm), ()), reverse=pm.det == -1)
+        return [self._records[self._key(child(pm, n))] for n in slots]
 
     def descendants(self, node: NodeRecord) -> list[NodeRecord]:
         """All records whose interval nests strictly inside the node's,
@@ -366,6 +369,10 @@ class TreeStore:
         """
         if not isinstance(payload, str):
             raise TypeError("payload must be str")
+        try:
+            payload.encode()
+        except UnicodeEncodeError:
+            raise DomainError("payload cannot be encoded as UTF-8") from None
         pm = self._resolve_parent_ref(parent)
         slot = self._choose_slot(pm, index)
         rec = NodeRecord(child(pm, slot), payload)
@@ -445,7 +452,8 @@ class TreeStore:
         parent closure; errors name the offending line."""
         source = FsPath(source)
         try:
-            text = source.read_text(encoding="utf-8", errors="strict")
+            # no newline translation: a payload may hold a raw CR
+            text = source.read_bytes().decode("utf-8")
         except OSError as e:
             raise StoreError(f"cannot read {source}: {e}") from e
         except UnicodeDecodeError as e:
@@ -480,11 +488,7 @@ class TreeStore:
                 payload = unescape_payload(fields[4])
             except ValueError as e:
                 raise LoadError(lineno, str(e)) from None
-            try:
-                pm, slot = _parent_and_slot(m)
-            except DomainError as e:
-                # matrix passed the cheap checks but is not a primitive product
-                raise LoadError(lineno, str(e)) from None
+            pm, slot = _parent_and_slot(m)
             store._insert(NodeRecord(m, payload), pm, slot)
             parent_of_line.append((lineno, pm))
 

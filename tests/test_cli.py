@@ -222,6 +222,28 @@ class TestStoreCommands:
         code, out, _ = run(capsys, "ls", store_file, "--node", "4.7")
         assert out == "4.7.1\t33/8\tkid\n"
 
+    def test_payloads_with_carriage_returns(self, tmp_path, capsys):
+        f = str(tmp_path / "x.db")
+        main(["init", f])
+        for payload in ["a\rb", "x\r", "\r\n"]:
+            assert main(["add", f, "--parent", "root", "--payload", payload]) == 0
+        capsys.readouterr()
+        code, out, _ = run(capsys, "ls", f)
+        assert code == 0
+        assert out == "1\t1/1\ta\rb\n2\t2/1\tx\r\n3\t3/1\t\r\\n\n"
+
+    def test_non_utf8_payload_exits_3(self, store_file, capsys):
+        import os
+        import pathlib
+
+        before = pathlib.Path(store_file).read_bytes()
+        # the str Python makes of the argument bytes a\xffb
+        payload = os.fsdecode(b"a\xffb")
+        code, _, err = run(capsys, "add", store_file, "--parent", "root", "--payload", payload)
+        assert code == 3
+        assert "UTF-8" in err
+        assert pathlib.Path(store_file).read_bytes() == before
+
     def test_failed_mutation_leaves_file_intact(self, store_file, capsys):
         import pathlib
 

@@ -29,7 +29,7 @@ from mobiustree.encoding import (
     relative,
 )
 
-from oracles import cf_value, is_proper_prefix, primitive_product, random_paths
+from oracles import cf_value, is_proper_prefix, mat_mul4, primitive_product, random_paths
 
 paths = st.lists(st.integers(1, 30), max_size=12).map(tuple)
 wide_paths = st.lists(st.integers(1, 10**6), max_size=10).map(tuple)
@@ -521,6 +521,36 @@ class TestTrustedDerivations:
                     pass
             assert len(valid) == 1
             assert parent(m) == valid[0]
+
+    def test_accepted_matrices_are_exactly_the_primitive_products(self):
+        # the constructor's checks alone make a matrix a path matrix, so
+        # matrix_to_path, parent and relative need no check of their own
+        bound = 24
+        accepted = set()
+        for entries in itertools.product(range(bound), repeat=4):
+            try:
+                MobiusMatrix(*entries)
+            except DomainError:
+                continue
+            accepted.add(entries)
+        # a primitive factor never shrinks an entry, so every prefix of a
+        # product below the bound is below it too
+        products = {}
+        frontier = [((1, 0, 0, 1), ())]
+        while frontier:
+            m, comps = frontier.pop()
+            products[m] = comps
+            for q in range(1, bound):
+                kid = mat_mul4(m, (q, 1, 1, 0))
+                if max(kid) < bound:
+                    frontier.append((kid, comps + (q,)))
+        assert len(products) == len(accepted) == 344
+        assert accepted == set(products)
+        for entries, comps in products.items():
+            m = MobiusMatrix(*entries)
+            assert matrix_to_path(m).components == comps
+            if comps:
+                assert parent(m).entries() == primitive_product(comps[:-1])
 
     @pytest.mark.parametrize("text", ["3.0.1", "0", "00", "3.00"])
     def test_parse_still_rejects_zero_components(self, text):

@@ -310,6 +310,23 @@ class TestPersistence:
         loaded = TreeStore.load(f)
         assert loaded.resolve("1").payload == nasty
 
+    @pytest.mark.parametrize("payload", ["a\rb", "x\r", "\r\n"])
+    def test_carriage_returns_roundtrip(self, tmp_path, payload):
+        st = TreeStore()
+        st.add_child("root", payload)
+        f = tmp_path / "s.db"
+        st.save(f)
+        # the file keeps the raw CR; only tab, newline and backslash escape
+        record = b"1\t1\t1\t0\t" + payload.encode().replace(b"\n", b"\\n")
+        assert f.read_bytes() == b"mobius-tree v1\n" + record + b"\n"
+        assert TreeStore.load(f).resolve("1").payload == payload
+
+    def test_payload_must_encode_as_utf8(self):
+        st = TreeStore()
+        with pytest.raises(DomainError, match="UTF-8"):
+            st.add_child("root", "a\udcffb")
+        assert len(st) == 0
+
     def test_escape_helpers(self):
         for s in ["", "plain", "a\tb", "a\nb", "a\\b", "\\t", "\\\\n"]:
             assert unescape_payload(escape_payload(s)) == s
@@ -550,6 +567,25 @@ class TestDescendantsSliceOracle(TestIndexOrderOracle):
         store = chain_store("1.1.1.1.1.1.1.1", "3.1.1.1", "3.2.1.5", "3.2.1.1.1", "2.1.1.2")
         path_of = {rec.payload: tuple(map(int, rec.payload.split("."))) for rec in store}
         self.check(store, tmp_path, path_of)
+
+
+class TestChildrenOrderOracle(TestIndexOrderOracle):
+    """Every store of the index-order oracle again, now also checking
+    children() of every node and of the root: the oracle's interval
+    order restricted to the node's children."""
+
+    @staticmethod
+    def check(store, tmp_path, path_of):
+        want, product = TestIndexOrderOracle.check(store, tmp_path, path_of)
+        payload_of = {p: k for k, p in path_of.items()}
+        kids = {}
+        for p in want:
+            kids.setdefault(p[:-1], []).append(payload_of[p])
+        assert [rec.payload for rec in store.children("root")] == kids.get((), [])
+        for rec in store:
+            got = [kid.payload for kid in store.children(rec)]
+            assert got == kids.get(path_of[rec.payload], []), rec.payload
+        return want, product
 
 
 class TestStats:
