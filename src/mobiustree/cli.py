@@ -23,7 +23,7 @@ from .encoding import (
     path_to_matrix,
     ratio_to_matrix,
 )
-from .store import ROOT, NodeRecord, StoreError, TreeStore, escape_payload
+from .store import ROOT, NodeRecord, StoreError, TreeStore, _parent_and_slot, escape_payload
 
 
 def _slot(text: str) -> int:
@@ -180,7 +180,7 @@ def _cmd_tree(args, out) -> int:
     while stack:
         rec, level = stack.pop()
         m = rec.matrix
-        slot = matrix_to_path(m)[-1]
+        slot = _parent_and_slot(m)[1]
         print(f"{'  ' * level}{to_decimal(slot)}\t{Ratio(m.a, m.c)}\t{escape_payload(rec.payload)}", file=out)
         stack.extend((kid, level + 1) for kid in reversed(store.children(rec)))
     return 0

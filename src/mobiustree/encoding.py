@@ -153,7 +153,8 @@ class MobiusMatrix:
     path component.  The public constructor (and parse) enforces the
     algebraic invariants on caller-supplied entries: nonnegative ints,
     determinant +-1, and the entry ordering a >= b, a >= c, b >= d,
-    c >= d with a, c >= 1 unless identity.
+    c >= d unless identity.  These imply a >= c >= 1: c = 0 would force
+    d = 0 and so det = 0.
 
     Every matrix these checks accept is a product of primitives, so the
     constructor alone decides whether four integers are a node.  By
@@ -179,7 +180,7 @@ class MobiusMatrix:
         if det != 1 and det != -1:
             raise DomainError(f"determinant must be +-1, got {to_decimal(det)}")
         if not (a == 1 and b == 0 and c == 0 and d == 1):
-            if not (a >= b and a >= c and b >= d and c >= d and a >= 1 and c >= 1):
+            if not (a >= b and a >= c and b >= d and c >= d):
                 a, b, c, d = map(to_decimal, (a, b, c, d))
                 raise DomainError(
                     f"entries [[{a},{b}],[{c},{d}]] violate the encoding ordering"
@@ -492,12 +493,17 @@ def parent(m: MobiusMatrix) -> MobiusMatrix | None:
     a, b, c, d = m.a, m.b, m.c, m.d
     if a == 1 and b == 0 and c == 0 and d == 1:
         return None
+    return _unchecked_matrix(*_parent_entries(a, b, c, d))
+
+
+def _parent_entries(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """The step of parent() on the entries of a non-identity matrix."""
     q = a // b
     dp = c - q * d
     if dp < 0:
         q -= 1
         dp += d
-    return _unchecked_matrix(b, a - q * b, d, dp)
+    return b, a - q * b, d, dp
 
 
 def next_sibling(m: MobiusMatrix) -> MobiusMatrix:

@@ -31,7 +31,9 @@ from .exactmath import DomainError, from_decimal, to_decimal
 from .encoding import (
     MobiusMatrix,
     Path,
+    _parent_entries,
     _rebase,
+    _unchecked_matrix,
     child,
     is_ancestor,
     matrix_to_path,
@@ -60,6 +62,7 @@ _DIGITS_RE = re.compile(r"[0-9]+")
 
 # sentinel accepted wherever a parent/target node is expected
 ROOT = "root"
+_ROOT_KEY = MobiusMatrix.IDENTITY.entries()
 
 
 class StoreError(Exception):
@@ -151,6 +154,14 @@ def _endpoint_keys(m: MobiusMatrix, k: int) -> tuple[int, int]:
     return closed_key, open_key
 
 
+def _shift_for(den: int) -> int:
+    """The shift k of exact integer keys floor(r * 2**k) for endpoints
+    with denominators up to den: distinct endpoints p/q != r/s differ by
+    at least 1/(q*s) > 2**-k, so the floors keep the (lo, hi) order and
+    ties.  c + d is the larger of a node's two endpoint denominators."""
+    return 2 * den.bit_length() + 2
+
+
 def _parent_and_slot(m: MobiusMatrix) -> tuple[MobiusMatrix, int]:
     """Parent matrix and last path component of a non-identity matrix,
     both O(1)."""
@@ -164,14 +175,20 @@ class TreeStore:
     """In-memory tree of NodeRecords with exact interval indexing."""
 
     def __init__(self):
-        self._records: dict[tuple[int, int, int, int], NodeRecord] = {}
+        # matrix key -> index entry (lo_key, hi_key, record), where a key
+        # is the endpoint scaled by 2**_shift and floored (see
+        # _endpoint_keys).  A record's keys are computed once, when it
+        # gets its matrix.  _shift only grows: a record that needs a
+        # wider one makes every key stale (left 0 until _ensure_index
+        # re-keys the whole store at the widest record's shift).
+        self._records: dict[tuple[int, int, int, int], tuple[int, int, NodeRecord]] = {}
+        self._shift = 0
+        self._stale = False
         # parent matrix key -> occupied child indices
         self._children: dict[tuple[int, int, int, int], set[int]] = {}
-        # (lo_key, hi_key, record) sorted by key, where a key is the
-        # endpoint scaled by 2**_shift and floored (see _endpoint_keys);
-        # rebuilt lazily after any mutation
+        # the entries of _records sorted by key; re-sorted lazily after
+        # any mutation
         self._index: list[tuple[int, int, NodeRecord]] | None = None
-        self._shift = 0
 
     # -- plumbing ---------------------------------------------------------
 
@@ -200,13 +217,25 @@ class TreeStore:
             raise MissingNodeError(f"no node at {matrix_to_path(m)}")
         return m
 
-    def _require(self, record: NodeRecord) -> None:
-        if self._records.get(self._key(record.matrix)) is not record:
+    def _require(self, record: NodeRecord) -> tuple[int, int, NodeRecord]:
+        """The record's index entry; its keys are current only after
+        _ensure_index."""
+        entry = self._records.get(self._key(record.matrix))
+        if entry is None or entry[2] is not record:
             raise MissingNodeError("record is not in this store")
+        return entry
 
     def _insert(self, record: NodeRecord, pm: MobiusMatrix, slot: int) -> None:
         """Add a record whose parent matrix and slot the caller holds."""
-        self._records[self._key(record.matrix)] = record
+        m = record.matrix
+        if not self._stale and _shift_for(m.c + m.d) <= self._shift:
+            lo, hi = _endpoint_keys(m, self._shift)
+            self._records[self._key(m)] = (lo, hi, record)
+        else:
+            # wider than every record so far, or the keys are stale
+            # already: _ensure_index widens the shift and re-keys all
+            self._stale = True
+            self._records[self._key(m)] = (0, 0, record)
         self._children.setdefault(self._key(pm), set()).add(slot)
         self._index = None
 
@@ -244,17 +273,20 @@ class TreeStore:
 
     def _ensure_index(self) -> list[tuple[int, int, NodeRecord]]:
         if self._index is None:
-            recs = self._records.values()
-            # Exact integer keys floor(r * 2**k): distinct endpoints
-            # p/q != r/s differ by at least 1/(q*s) > 2**-k, so the floors
-            # keep the (lo, hi) order and ties.  c + d is the larger of a
-            # node's two endpoint denominators.
-            max_den = max((r.matrix.c + r.matrix.d for r in recs), default=0)
-            k = self._shift = 2 * max_den.bit_length() + 2
-            idx = [(*_endpoint_keys(r.matrix, k), r) for r in recs]
+            records = self._records
+            if self._stale:
+                # the record that made the keys stale is still here (a
+                # removal builds the index first), so the shift grows
+                max_den = max(r.matrix.c + r.matrix.d for _, _, r in records.values())
+                k = self._shift = _shift_for(max_den)
+                # every entry first, then swapped in: the new entries lie
+                # together in memory, and no second dict is built (each
+                # key is present, so the update does not resize the dict)
+                entries = [(*_endpoint_keys(r.matrix, k), r) for _, _, r in records.values()]
+                records.update(zip(records, entries))
+                self._stale = False
             # no two nodes share both endpoints, so records never compare
-            idx.sort()
-            self._index = idx
+            self._index = sorted(records.values())
         return self._index
 
     # -- queries ----------------------------------------------------------
@@ -263,17 +295,16 @@ class TreeStore:
         return len(self._records)
 
     def __iter__(self) -> Iterable[NodeRecord]:
-        return iter(self._records.values())
+        return (rec for _, _, rec in self._records.values())
 
     def resolve(self, path: Path | str) -> NodeRecord:
         """Record at a path; raises MissingNodeError."""
         if isinstance(path, str):
             path = Path.parse(path)
-        key = self._key(path_to_matrix(path))
-        rec = self._records.get(key)
-        if rec is None:
+        entry = self._records.get(self._key(path_to_matrix(path)))
+        if entry is None:
             raise MissingNodeError(f"no node at {path}")
-        return rec
+        return entry[2]
 
     def all_nodes(self) -> list[NodeRecord]:
         """Every record, ordered by interval low then high endpoint."""
@@ -289,7 +320,7 @@ class TreeStore:
         interval order."""
         pm = self._resolve_parent_ref(parent)
         slots = sorted(self._children.get(self._key(pm), ()), reverse=pm.det == -1)
-        return [self._records[self._key(child(pm, n))] for n in slots]
+        return [self._records[self._key(child(pm, n))][2] for n in slots]
 
     def descendants(self, node: NodeRecord) -> list[NodeRecord]:
         """All records whose interval nests strictly inside the node's,
@@ -304,9 +335,8 @@ class TreeStore:
         endpoint; only those that end below the node's high endpoint
         are descendants.
         """
-        self._require(node)
         idx = self._ensure_index()
-        lo, hi = _endpoint_keys(node.matrix, self._shift)
+        lo, hi, _ = self._require(node)
         # probe (key,) sorts before every full entry with that low key
         i = bisect.bisect_left(idx, (lo,))
         j = bisect.bisect_left(idx, (hi,), i)
@@ -323,18 +353,18 @@ class TreeStore:
         root side first, root excluded."""
         self._require(node)
         chain = []
-        m = node.matrix
+        key = self._key(node.matrix)
         while True:
-            pm = _matrix_parent(m)
-            if pm.is_identity:
+            key = _parent_entries(*key)
+            if key == _ROOT_KEY:
                 break
-            rec = self._records.get(self._key(pm))
-            if rec is None:
+            entry = self._records.get(key)
+            if entry is None:
+                pm = _unchecked_matrix(*key)
                 raise IntegrityError(
                     f"ancestor {matrix_to_path(pm)} of {matrix_to_path(node.matrix)} is missing"
                 )
-            chain.append(rec)
-            m = pm
+            chain.append(entry[2])
         chain.reverse()
         return chain
 
@@ -352,7 +382,7 @@ class TreeStore:
                 stack.append((child(pm, slot), depth + 1))
         max_bits = 0
         max_key = 0
-        for rec in self._records.values():
+        for _, _, rec in self._records.values():
             m = rec.matrix
             max_bits = max(max_bits, m.a.bit_length())
             max_key = max(max_key, len("\t".join(map(to_decimal, m.entries()))))

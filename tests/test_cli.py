@@ -325,3 +325,50 @@ class TestStoreCommands:
         lines = out.splitlines()
         assert len(lines) == 1500
         assert lines[-1].startswith("  " * 1499 + "1\t")
+
+    def test_tree_slots_on_a_deep_chain_with_side_leaves(self, tmp_path, capsys):
+        """Each printed slot is the last component of the node's path,
+        and the nodes come in the oracle's order: depth first, children
+        by their Fraction interval endpoints."""
+        from fractions import Fraction
+
+        from mobiustree import TreeStore
+        from oracles import mat_mul4, primitive_product
+
+        st = TreeStore()
+        paths, product = [], {(): primitive_product(())}
+        ref, path = "root", ()
+        for level in range(1500):
+            # the next spine node in slot 1, and a side leaf in slot 2, 3 or 4
+            for slot in (1, 2 + level % 3):
+                p = path + (slot,)
+                product[p] = mat_mul4(product[path], primitive_product((slot,)))
+                node = st.add_child(ref, str(len(paths)), index=slot)
+                paths.append(p)
+                if slot == 1:
+                    spine = node
+            ref, path = spine, path + (1,)
+        f = str(tmp_path / "deep.db")
+        st.save(f)
+
+        def lo(p):
+            a, b, c, d = product[p]
+            return min(Fraction(a, c), Fraction(a + b, c + d))
+
+        kids = {}
+        for p in paths:
+            kids.setdefault(p[:-1], []).append(p)
+        want, stack = [], sorted(kids[()], key=lo, reverse=True)
+        while stack:
+            p = stack.pop()
+            want.append(p)
+            stack.extend(sorted(kids.get(p, ()), key=lo, reverse=True))
+
+        code, out, _ = run(capsys, "tree", f)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == len(want) == 3000
+        for line, p in zip(lines, want):
+            slot, _, payload = line.split("\t")
+            assert slot == "  " * (len(p) - 1) + str(p[-1])
+            assert paths[int(payload)] == p

@@ -1,10 +1,12 @@
 import bisect
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies
+from hypothesis import HealthCheck, given, settings, strategies
 
+from mobiustree import store as store_module
 from mobiustree.exactmath import DomainError, Ratio
 from mobiustree.encoding import MobiusMatrix, Path, matrix_to_path, path_to_matrix, relative
 from mobiustree.store import (
@@ -676,3 +678,142 @@ class TestDescendantsOracle:
                 got = {tuple(matrix_to_path(r.matrix).components) for r in st.descendants(rec)}
                 want = {q for q in by_path if is_proper_prefix(p, q)}
                 assert got == want
+
+
+class TestKeyComputations:
+    """A record's index keys are computed once, when it gets its
+    matrix; the index rebuild after an ordinary mutation only sorts.
+    Only a mutation that needs a wider shift than every record before
+    it re-keys records it did not add or move."""
+
+    @pytest.fixture
+    def keyed(self, monkeypatch):
+        """Matrices passed to the store's key function, in call order."""
+        keyed = []
+        real = store_module._endpoint_keys
+
+        def counting(m, k):
+            keyed.append(m)
+            return real(m, k)
+
+        monkeypatch.setattr(store_module, "_endpoint_keys", counting)
+        return keyed
+
+    def test_keys_per_mutation(self, keyed, tmp_path):
+        st = build_store_from_paths(TreeStore, random_forest(random.Random(47), 300))
+        # a node much wider than the forest's, so that the moves below
+        # never widen the shift
+        w = st.add_child("root", "w", index=40)
+        wide = st.add_child(w, "wide", index=2**200)
+        st.all_nodes()
+        assert len(keyed) == len(st)  # the first build keys every record once
+        shift = st._shift
+
+        # the three largest top-level subtrees of the forest
+        top = [r for r in st.children() if r is not w]
+        src, target, doomed = sorted(top, key=lambda r: len(st.descendants(r)))[-3:]
+
+        keyed.clear()
+        new = st.add_child(target, "new")
+        st.descendants(new)
+        assert keyed == [new.matrix]
+
+        keyed.clear()
+        assert st.move_subtree(src, target) > 1
+        st.descendants(src)
+        assert sorted(keyed, key=TreeStore._key) == sorted(
+            [src.matrix] + [r.matrix for r in st.descendants(src)], key=TreeStore._key
+        )
+
+        keyed.clear()
+        assert st.delete_subtree(doomed) > 1
+        st.all_nodes()
+        assert keyed == []
+        assert st._shift == shift
+
+        deeper = st.add_child(wide, "deeper", index=2**200)
+        st.descendants(deeper)
+        assert st._shift > shift
+        assert len(keyed) == len(st)  # one full re-key, the new record included
+        assert sorted(keyed, key=TreeStore._key) == sorted(
+            (r.matrix for r in st), key=TreeStore._key
+        )
+
+        f = tmp_path / "s.db"
+        st.save(f)
+        keyed.clear()
+        loaded = TreeStore.load(f)
+        loaded.all_nodes()
+        assert len(keyed) == len(loaded)
+
+    @settings(
+        max_examples=50,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(strategies.data())
+    def test_random_interleavings_match_the_oracle(self, tmp_path, data):
+        """Inserts, moves, deletes and queries in any order, including
+        first-child chains grown past the current shift and deletes of
+        the deepest node, checked against the Fraction oracle after
+        every step."""
+        rng = random.Random(data.draw(strategies.integers(0, 2**32), label="seed"))
+        paths = random_forest(rng, 25)
+        st = build_store_from_paths(TreeStore, paths)
+        path_of = TestIndexOrderOracle.dotted(paths)
+        names = itertools.count()
+
+        def ref(path):
+            return ".".join(map(str, path)) or "root"
+
+        def under(p, top):
+            return p[: len(top)] == top
+
+        def free_slot(parent):
+            taken = [p[-1] for p in path_of.values() if p[:-1] == parent]
+            return max(taken, default=0) + rng.randint(1, 3)
+
+        def insert(parent, slot):
+            payload = f"n{next(names)}"
+            st.add_child(ref(parent), payload, index=slot)
+            path_of[payload] = parent + (slot,)
+
+        def delete(path):
+            doomed = [k for k, p in path_of.items() if under(p, path)]
+            assert st.delete_subtree(st.resolve(ref(path))) == len(doomed)
+            for k in doomed:
+                del path_of[k]
+
+        shift = 0
+        kinds = ["insert", "move", "delete", "chain", "delete-deepest", "query"]
+        for kind in data.draw(strategies.lists(strategies.sampled_from(kinds), max_size=12)):
+            existing = sorted(path_of.values())
+            if kind == "insert" or not existing:
+                parent = rng.choice([()] + existing)
+                insert(parent, free_slot(parent))
+            elif kind == "move":
+                src = rng.choice(existing)
+                parent = rng.choice([()] + [p for p in existing if not under(p, src)])
+                slot = free_slot(parent)
+                assert st.move_subtree(st.resolve(ref(src)), ref(parent), index=slot) == sum(
+                    under(p, src) for p in existing
+                )
+                for k, p in path_of.items():
+                    if under(p, src):
+                        path_of[k] = parent + (slot,) + p[len(src):]
+            elif kind == "delete":
+                delete(rng.choice(existing))
+            elif kind == "chain":  # first children until one needs a wider shift
+                path, m = max(existing, key=len), (0, 0, 0, 0)
+                while 2 * (m[2] + m[3]).bit_length() + 2 <= st._shift:
+                    insert(path, 1)
+                    path += (1,)
+                    m = primitive_product(path)
+            elif kind == "delete-deepest":
+                delete(max(existing, key=len))
+            else:
+                node = st.resolve(ref(rng.choice(existing)))
+                assert set(st.descendants(node)) <= set(st)
+            assert st._shift >= shift
+            shift = st._shift
+            TestDescendantsSliceOracle.check(st, tmp_path, path_of)
