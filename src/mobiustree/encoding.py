@@ -565,20 +565,6 @@ def relative(anc: MobiusMatrix, desc: MobiusMatrix) -> MobiusMatrix:
         raise DomainError("not a descendant") from None
 
 
-def _rebase(
-    old: MobiusMatrix, new: MobiusMatrix, descs: Iterable[MobiusMatrix]
-) -> list[MobiusMatrix]:
-    """new * relative(old, m) for each m of descs, which must be old
-    itself or its descendants; not checked.  The product is
-    (new * old^-1) * m, formed once, so a subtree of any depth is
-    re-keyed without peeling each fragment's path: new times a path
-    matrix is a path matrix."""
-    s = old.det
-    t = kernels.mat_mul_raw(*new.entries(), s * old.d, -s * old.b, -s * old.c, s * old.a)
-    mul = kernels.mat_mul_raw
-    return [_unchecked_matrix(*mul(*t, m.a, m.b, m.c, m.d)) for m in descs]
-
-
 def is_ancestor(anc: MobiusMatrix, desc: MobiusMatrix) -> bool:
     """Strict ancestor test by arithmetic: anc != desc and the matrix
     equation anc * X = desc has a path solution.  O(1), a fixed number

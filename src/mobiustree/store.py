@@ -3,8 +3,9 @@
 Payload-bearing nodes are keyed by their matrix.  Descendant queries run
 as range scans over an index ordered by exact interval endpoints,
 ancestor queries are pure parent() arithmetic, inserts never touch
-existing keys, and subtree relocation is the detach/attach matrix
-algebra.
+existing keys, and a subtree is walked down through its child slots,
+one child() per record, so deleting or relocating it needs no index
+(a move gives each record child(new, n) of its parent's new matrix).
 
 Persistence format ("mobius-tree v1"): a header line, then one record
 per line as a<TAB>b<TAB>c<TAB>d<TAB>payload with the matrix entries in
@@ -32,7 +33,6 @@ from .encoding import (
     MobiusMatrix,
     Path,
     _parent_entries,
-    _rebase,
     _unchecked_matrix,
     child,
     is_ancestor,
@@ -184,8 +184,10 @@ class TreeStore:
         self._records: dict[tuple[int, int, int, int], tuple[int, int, NodeRecord]] = {}
         self._shift = 0
         self._stale = False
-        # parent matrix key -> occupied child indices
-        self._children: dict[tuple[int, int, int, int], set[int]] = {}
+        # parent matrix key -> its occupied child slots, ascending; the
+        # root's list is keyed by the identity.  A record's list moves
+        # with it to its new key on move_subtree.
+        self._children: dict[tuple[int, int, int, int], list[int]] = {}
         # the entries of _records sorted by key; re-sorted lazily after
         # any mutation
         self._index: list[tuple[int, int, NodeRecord]] | None = None
@@ -225,31 +227,59 @@ class TreeStore:
             raise MissingNodeError("record is not in this store")
         return entry
 
-    def _insert(self, record: NodeRecord, pm: MobiusMatrix, slot: int) -> None:
-        """Add a record whose parent matrix and slot the caller holds."""
+    def _entry(self, record: NodeRecord) -> tuple[int, int, NodeRecord]:
+        """A new index entry for a record that just got its matrix."""
         m = record.matrix
         if not self._stale and _shift_for(m.c + m.d) <= self._shift:
-            lo, hi = _endpoint_keys(m, self._shift)
-            self._records[self._key(m)] = (lo, hi, record)
-        else:
-            # wider than every record so far, or the keys are stale
-            # already: _ensure_index widens the shift and re-keys all
-            self._stale = True
-            self._records[self._key(m)] = (0, 0, record)
-        self._children.setdefault(self._key(pm), set()).add(slot)
-        self._index = None
+            return (*_endpoint_keys(m, self._shift), record)
+        # wider than every record so far, or the keys are stale already:
+        # _ensure_index widens the shift and re-keys all
+        self._stale = True
+        return (0, 0, record)
 
-    def _remove(self, record: NodeRecord) -> None:
-        key = self._key(record.matrix)
-        del self._records[key]
-        self._children.pop(key, None)
-        pm, slot = _parent_and_slot(record.matrix)
-        kids = self._children.get(self._key(pm))
-        if kids is not None:
-            kids.discard(slot)
-            if not kids:
-                self._children.pop(self._key(pm), None)
+    def _detach(
+        self, node: NodeRecord, base: MobiusMatrix | None = None
+    ) -> list[tuple[NodeRecord, list[int] | None]]:
+        """Take node's subtree out of the store and return its records,
+        each with its child slots, parents before children.
+
+        The walk goes down through the child slots: the record in slot n
+        under a parent matrix m is the one at child(m, n), so it costs
+        one primitive factor per record and needs neither the index nor
+        a parent() step.  With base, each record also gets its new
+        matrix on the way down: base for node, child(new, n) under its
+        parent's new matrix.  Children are visited in interval order
+        under the matrices the records end with (slots ascending under
+        det +1, descending under det -1, the sign alternating by depth),
+        so the returned list is close to index order.  Only node's own
+        slot is dropped from its parent's list; every other record's
+        slot list is returned with it."""
+        records, children = self._records, self._children
+        pm, slot = _parent_and_slot(node.matrix)
+        siblings = children[self._key(pm)]
+        del siblings[bisect.bisect_left(siblings, slot)]
+        if not siblings:
+            del children[self._key(pm)]
+        out = []
+        # (old matrix key, new matrix, det of the new one)
+        stack = [(self._key(node.matrix), base, (node.matrix if base is None else base).det)]
+        while stack:
+            key, new, det = stack.pop()
+            rec = records.pop(key)[2]
+            slots = children.pop(key, None)
+            out.append((rec, slots))
+            if new is not None:
+                rec.matrix = new
+            if slots:
+                a, b, c, d = key
+                # the key of child(old, n); the stack pops the last
+                # pushed first
+                for n in reversed(slots) if det == 1 else slots:
+                    stack.append(
+                        ((n * a + b, a, n * c + d, c), None if new is None else child(new, n), -det)
+                    )
         self._index = None
+        return out
 
     def _choose_slot(
         self, pm: MobiusMatrix, index: int | None, vacating: int | None = None
@@ -258,14 +288,16 @@ class TreeStore:
         requested index if it is free, else 1 + the highest occupied
         slot.  vacating is pm's slot that the placed node itself frees
         (a move under its own parent)."""
-        occupied = self._children.get(self._key(pm), frozenset())
-        if vacating is not None:
-            occupied = occupied - {vacating}
+        occupied = self._children.get(self._key(pm), ())
         if index is None:
-            return max(occupied, default=0) + 1
+            top = occupied[-1] if occupied else 0
+            if top == vacating:
+                top = occupied[-2] if len(occupied) > 1 else 0
+            return top + 1
         if not isinstance(index, int) or index < 1:
             raise DomainError(f"child index must be >= 1, got {to_decimal(index)}")
-        if index in occupied:
+        i = bisect.bisect_left(occupied, index)
+        if i < len(occupied) and occupied[i] == index and index != vacating:
             raise OccupiedSlotError(
                 f"slot {to_decimal(index)} under {matrix_to_path(pm)} is occupied"
             )
@@ -275,10 +307,10 @@ class TreeStore:
         if self._index is None:
             records = self._records
             if self._stale:
-                # the record that made the keys stale is still here (a
-                # removal builds the index first), so the shift grows
-                max_den = max(r.matrix.c + r.matrix.d for _, _, r in records.values())
-                k = self._shift = _shift_for(max_den)
+                # the record that made the keys stale may be gone again,
+                # so the shift is never lowered below its old value
+                max_den = max((r.matrix.c + r.matrix.d for _, _, r in records.values()), default=0)
+                k = self._shift = max(self._shift, _shift_for(max_den))
                 # every entry first, then swapped in: the new entries lie
                 # together in memory, and no second dict is built (each
                 # key is present, so the update does not resize the dict)
@@ -319,7 +351,9 @@ class TreeStore:
         and reverses it for -1, so the slots sorted that way give the
         interval order."""
         pm = self._resolve_parent_ref(parent)
-        slots = sorted(self._children.get(self._key(pm), ()), reverse=pm.det == -1)
+        slots = self._children.get(self._key(pm), ())
+        if pm.det == -1:
+            slots = reversed(slots)
         return [self._records[self._key(child(pm, n))][2] for n in slots]
 
     def descendants(self, node: NodeRecord) -> list[NodeRecord]:
@@ -406,25 +440,26 @@ class TreeStore:
         pm = self._resolve_parent_ref(parent)
         slot = self._choose_slot(pm, index)
         rec = NodeRecord(child(pm, slot), payload)
-        self._insert(rec, pm, slot)
+        self._records[self._key(rec.matrix)] = self._entry(rec)
+        bisect.insort(self._children.setdefault(self._key(pm), []), slot)
+        self._index = None
         return rec
 
     def delete_subtree(self, node: NodeRecord) -> int:
         """Remove the node and all its descendants; returns the count."""
         self._require(node)
-        doomed = [node] + self.descendants(node)
-        for rec in doomed:
-            self._remove(rec)
-        return len(doomed)
+        return len(self._detach(node))
 
     def move_subtree(
         self, src: NodeRecord, new_parent: ParentRef, index: int | None = None
     ) -> int:
         """Relocate src and its whole subtree under new_parent.
 
-        Each subtree record keeps its path fragment relative to src:
-        detach solves src_matrix * X = record_matrix, attach re-keys to
-        concat(child(new_parent, n), X).  Payloads are untouched;
+        Each subtree record keeps its path fragment relative to src: src
+        takes child(new_parent, n), and every record below it child(m,
+        k) of its parent's new matrix m for the slot k it held, one
+        primitive factor per record.  Each record keeps its child slots,
+        and only src's own slot changes.  Payloads are untouched;
         returns the number of re-keyed records.
         """
         self._require(src)
@@ -432,47 +467,62 @@ class TreeStore:
         if not pm.is_identity:
             if pm == src.matrix or is_ancestor(src.matrix, pm):
                 raise CycleError("cannot move a subtree under itself")
-        subtree = [src] + self.descendants(src)
-
         old_parent, old_slot = _parent_and_slot(src.matrix)
-        vacating = old_slot if old_parent == pm else None
-        base = child(pm, self._choose_slot(pm, index, vacating))
-        # the index scan found exactly src's descendants, so their
-        # fragments below src are valid paths and need no re-peeling
-        new_matrices = _rebase(src.matrix, base, [rec.matrix for rec in subtree])
-        for rec in subtree:
-            self._remove(rec)
-        for rec, m in zip(subtree, new_matrices):
-            rec.matrix = m
-            self._insert(rec, *_parent_and_slot(m))
-        return len(subtree)
+        slot = self._choose_slot(pm, index, old_slot if old_parent == pm else None)
+        # the whole subtree leaves before any record returns, so a move
+        # into src's own vacated slot finds its old keys gone
+        moved = self._detach(src, child(pm, slot))
+        entries = [self._entry(rec) for rec, _ in moved]
+        if not self._stale:
+            # keep the moved entries one sorted run for the index sort
+            entries.sort()
+        records, children = self._records, self._children
+        for entry in entries:
+            records[self._key(entry[2].matrix)] = entry
+        for rec, slots in moved:
+            if slots is not None:
+                children[self._key(rec.matrix)] = slots
+        bisect.insort(children.setdefault(self._key(pm), []), slot)
+        return len(moved)
 
     # -- persistence ------------------------------------------------------
 
     def save(self, destination: str | FsPath) -> None:
         """Write the store atomically (temp file + rename), sorted by
-        interval key; save/load/save is byte-identical."""
+        interval key; save/load/save is byte-identical.
+
+        The temp file is fsynced before the rename and the directory
+        after it, so a crash leaves the old file or the new one, never
+        an empty or partial one."""
         destination = FsPath(destination)
         lines = [FILE_HEADER]
         for _, _, rec in self._ensure_index():
             entries = rec.matrix.entries()
             lines.append("\t".join([*map(to_decimal, entries), escape_payload(rec.payload)]))
         data = ("\n".join(lines) + "\n").encode()
+        directory = destination.parent
         try:
             fd, tmp = tempfile.mkstemp(
-                dir=destination.parent or ".", prefix=destination.name + ".", suffix=".tmp"
+                dir=directory, prefix=destination.name + ".", suffix=".tmp"
             )
             try:
                 with os.fdopen(fd, "wb") as f:
                     f.write(data)
-                try:
-                    os.chmod(tmp, stat.S_IMODE(os.stat(destination).st_mode))
-                except FileNotFoundError:
-                    pass  # a new file keeps mkstemp's owner-only mode
+                    try:
+                        os.chmod(tmp, stat.S_IMODE(os.stat(destination).st_mode))
+                    except FileNotFoundError:
+                        pass  # a new file keeps mkstemp's owner-only mode
+                    f.flush()
+                    os.fsync(f.fileno())
                 os.replace(tmp, destination)
             except BaseException:
                 os.unlink(tmp)
                 raise
+            dir_fd = os.open(directory, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
         except OSError as e:
             raise StoreError(f"cannot write {destination}: {e}") from e
 
@@ -519,8 +569,13 @@ class TreeStore:
             except ValueError as e:
                 raise LoadError(lineno, str(e)) from None
             pm, slot = _parent_and_slot(m)
-            store._insert(NodeRecord(m, payload), pm, slot)
+            store._records[key] = store._entry(NodeRecord(m, payload))
+            store._children.setdefault(pm.entries(), []).append(slot)
             parent_of_line.append((lineno, pm))
+
+        # a det -1 parent's slots arrive in descending order
+        for slots in store._children.values():
+            slots.sort()
 
         for lineno, pm in parent_of_line:
             if not pm.is_identity and pm.entries() not in store._records:

@@ -9,7 +9,6 @@ from mobiustree.encoding import (
     MobiusMatrix,
     NestedInterval,
     Path,
-    _rebase,
     child,
     concat,
     convergents,
@@ -493,16 +492,6 @@ class TestTrustedDerivations:
         assert parent(kid) == m
         p = Path(comps)
         assert Path.parse(str(p)) == p
-
-    @given(paths, paths, st.lists(paths, max_size=4))
-    def test_rebase_keeps_each_fragment(self, old, new, frags):
-        # the subtree of old, with the fragment below it of each node
-        frags = [()] + frags
-        descs = [path_to_matrix(old + f) for f in frags]
-        moved = _rebase(path_to_matrix(old), path_to_matrix(new), descs)
-        for m, f in zip(moved, frags):
-            assert m.entries() == primitive_product(new + f)
-            assert MobiusMatrix(*m.entries()) == m
 
     def test_parent_picks_the_candidate_the_constructor_accepts(self):
         # every matrix the public constructor accepts, entries below 16

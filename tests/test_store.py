@@ -1,10 +1,13 @@
 import bisect
 import itertools
+import os
 import random
+import stat
 from fractions import Fraction
+from pathlib import Path as FsPath
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies
+from hypothesis import HealthCheck, assume, given, settings, strategies
 
 from mobiustree import store as store_module
 from mobiustree.exactmath import DomainError, Ratio
@@ -418,6 +421,21 @@ class TestPersistence:
         with pytest.raises(StoreError):
             TreeStore.load(tmp_path / "nope.db")
 
+    @pytest.mark.parametrize("parent", ["root", "3", "3.4"], ids=["det+1", "det-1", "depth-2"])
+    def test_loaded_store_keeps_child_slots(self, tmp_path, parent):
+        """The file lists a det -1 parent's children by descending slot;
+        the loaded store still lists children in interval order and
+        gives an automatic slot above the highest."""
+        st = chain_store("3.4")
+        for n in (1, 2, 5, 9):
+            st.add_child(parent, f"k{n}", index=n)
+        f = tmp_path / "s.db"
+        st.save(f)
+        loaded = TreeStore.load(f)
+        assert [r.payload for r in loaded.children(parent)] == [r.payload for r in st.children(parent)]
+        rec = loaded.add_child(parent, "auto")
+        assert matrix_to_path(rec.matrix).components[-1] == 10
+
     def test_atomic_save_replaces(self, tmp_path):
         f = tmp_path / "s.db"
         st = chain_store("3")
@@ -426,6 +444,34 @@ class TestPersistence:
         st.save(f)
         assert len(TreeStore.load(f)) == 2
         assert list(tmp_path.iterdir()) == [f]  # no temp leftovers
+
+    def test_save_syncs_the_file_before_the_rename_and_the_directory_after(
+        self, tmp_path, monkeypatch
+    ):
+        st = chain_store("3.12")
+        st.save(tmp_path / "before.db")
+        size = (tmp_path / "before.db").stat().st_size
+        f = tmp_path / "s.db"
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            if stat.S_ISDIR(info.st_mode):
+                calls.append(("fsync dir", info.st_ino == tmp_path.stat().st_ino))
+            else:
+                calls.append(("fsync file", info.st_size == size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", FsPath(dst) == f))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        st.save(f)
+        assert calls == [("fsync file", True), ("replace", True), ("fsync dir", True)]
+        assert f.stat().st_size == size
 
 
 def oracle_interval(matrix):
@@ -817,3 +863,255 @@ class TestKeyComputations:
             assert st._shift >= shift
             shift = st._shift
             TestDescendantsSliceOracle.check(st, tmp_path, path_of)
+
+
+def rebuilt_bytes(path_of, tmp_path):
+    """The saved bytes of a store built from scratch, parents first,
+    with each payload at its path."""
+    store = TreeStore()
+    for payload, p in sorted(path_of.items(), key=lambda item: len(item[1])):
+        store.add_child(".".join(map(str, p[:-1])) or "root", payload, index=p[-1])
+    f = tmp_path / "rebuilt.db"
+    store.save(f)
+    return f.read_bytes()
+
+
+def check_against_rebuild(store, tmp_path, path_of):
+    """The Fraction oracles of order, descendants and children, and the
+    saved bytes of a from-scratch rebuild."""
+    TestDescendantsSliceOracle.check(store, tmp_path, path_of)
+    TestChildrenOrderOracle.check(store, tmp_path, path_of)
+    f = tmp_path / "s.db"
+    store.save(f)
+    assert f.read_bytes() == rebuilt_bytes(path_of, tmp_path)
+
+
+class TestSubtreeWalk:
+    """delete_subtree and move_subtree find a subtree by walking down
+    through the child slots, so neither builds the interval index, and
+    a move re-keys each record with one primitive factor."""
+
+    @pytest.fixture
+    def index_calls(self, monkeypatch):
+        """Stores whose _ensure_index was called, in call order."""
+        calls = []
+        real = TreeStore._ensure_index
+
+        def counting(store):
+            calls.append(store)
+            return real(store)
+
+        monkeypatch.setattr(TreeStore, "_ensure_index", counting)
+        return calls
+
+    def test_moves_and_deletes_build_no_index(self, index_calls, tmp_path):
+        paths = random_forest(random.Random(53), 300)
+        st = build_store_from_paths(TreeStore, paths)
+        path_of = TestIndexOrderOracle.dotted(paths)
+        st.all_nodes()
+        st.add_child("root", "new", index=40)  # the index is stale from here
+        path_of["new"] = (40,)
+        index_calls.clear()
+
+        def size(top):
+            return sum(p[: len(top)] == top for p in path_of.values())
+
+        def rename(src, dst):
+            for k, p in path_of.items():
+                if p[: len(src)] == src:
+                    path_of[k] = dst + p[len(src):]
+
+        tops = sorted((p for p in path_of.values() if len(p) == 1), key=size)
+        src, doomed = tops[-1], tops[-2]
+        assert st.move_subtree(st.resolve(".".join(map(str, src))), "40", index=3) == size(src)
+        rename(src, (40, 3))
+        n = size(doomed)
+        assert st.delete_subtree(st.resolve(".".join(map(str, doomed)))) == n > 1
+        for k in [k for k, p in path_of.items() if p[:1] == doomed]:
+            del path_of[k]
+        # into its own vacated slot, and out of it under its own parent
+        assert st.move_subtree(st.resolve("40.3"), "40", index=3) == size((40, 3))
+        assert st.move_subtree(st.resolve("40.3"), "40") == size((40, 3))
+        rename((40, 3), (40, 1))  # 40 has no other child
+        assert index_calls == []
+        check_against_rebuild(st, tmp_path, path_of)
+
+    @pytest.mark.parametrize("size", [0, 120])
+    @pytest.mark.parametrize("op", ["delete", "delete-top", "move-narrow", "move-wide"])
+    def test_widest_record_leaves_before_any_query(self, tmp_path, size, op):
+        """The record that made the keys stale is gone, or narrow again,
+        by the time the index is built: the shift must not shrink."""
+        paths = random_forest(random.Random(59), size)
+        st = build_store_from_paths(TreeStore, paths)
+        path_of = TestIndexOrderOracle.dotted(paths)
+        top = st.add_child("root", "top", index=60)
+        path_of["top"] = (60,)
+        st.all_nodes()
+        shift = st._shift
+        # a denominator of 2**300, far past every shift so far
+        wide = st.add_child(top, "wide", index=2**300)
+        st.add_child(wide, "leaf", index=2)
+        path_of.update(wide=(60, 2**300), leaf=(60, 2**300, 2))
+        assert st._stale
+        if op == "delete":
+            assert st.delete_subtree(wide) == 2
+            del path_of["wide"], path_of["leaf"]
+        elif op == "delete-top":  # leaves an empty store when size is 0
+            assert st.delete_subtree(top) == 3
+            del path_of["top"], path_of["wide"], path_of["leaf"]
+        elif op == "move-narrow":
+            assert st.move_subtree(wide, "root", index=45) == 2
+            path_of.update(wide=(45,), leaf=(45, 2))
+        else:
+            assert st.move_subtree(wide, top, index=2**400) == 2
+            path_of.update(wide=(60, 2**400), leaf=(60, 2**400, 2))
+        check_against_rebuild(st, tmp_path, path_of)
+        assert st._shift >= shift
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(strategies.data())
+    def test_batches_of_mutations_match_the_oracle(self, tmp_path, data):
+        """Several mutations between oracle checks, so moves and deletes
+        also run while the keys are stale: wide inserts, moves with a
+        requested or an automatic slot (into the vacated one too),
+        deletes of any node and of the widest one."""
+        rng = random.Random(data.draw(strategies.integers(0, 2**32), label="seed"))
+        paths = random_forest(rng, 25)
+        st = build_store_from_paths(TreeStore, paths)
+        path_of = TestIndexOrderOracle.dotted(paths)
+        names = itertools.count()
+
+        def ref(path):
+            return ".".join(map(str, path)) or "root"
+
+        def under(p, top):
+            return p[: len(top)] == top
+
+        def taken(parent, leaving=None):
+            return [p[-1] for p in path_of.values() if p[:-1] == parent and p != leaving]
+
+        def delete(path):
+            doomed = [k for k, p in path_of.items() if under(p, path)]
+            assert st.delete_subtree(st.resolve(ref(path))) == len(doomed)
+            for k in doomed:
+                del path_of[k]
+
+        kinds = ["insert", "wide", "move", "move-auto", "move-home", "delete", "delete-widest"]
+        batch = strategies.lists(strategies.sampled_from(kinds), min_size=1, max_size=6)
+        shift = 0
+        for kinds_drawn in data.draw(strategies.lists(batch, max_size=5)):
+            for kind in kinds_drawn:
+                existing = sorted(path_of.values())
+                if kind in ("insert", "wide") or not existing:
+                    parent = rng.choice([()] + existing)
+                    top = max(taken(parent), default=0)
+                    slot = top + rng.randint(1, 3) if kind == "insert" else 2 ** rng.randint(64, 400)
+                    payload = f"n{next(names)}"
+                    st.add_child(ref(parent), payload, index=slot)
+                    path_of[payload] = parent + (slot,)
+                elif kind.startswith("move"):
+                    src = rng.choice(existing)
+                    if kind == "move-home":
+                        parent = src[:-1]
+                    else:
+                        parent = rng.choice([()] + [p for p in existing if not under(p, src)])
+                    slot = max(taken(parent, src), default=0) + 1
+                    index = None
+                    if kind == "move":
+                        slot = index = slot + rng.randint(0, 2)
+                    moved = sum(under(p, src) for p in existing)
+                    assert st.move_subtree(st.resolve(ref(src)), ref(parent), index=index) == moved
+                    for k, p in path_of.items():
+                        if under(p, src):
+                            path_of[k] = parent + (slot,) + p[len(src):]
+                elif kind == "delete":
+                    delete(rng.choice(existing))
+                else:
+                    delete(max(existing, key=lambda p: sum(primitive_product(p)[2:])))
+            check_against_rebuild(st, tmp_path, path_of)
+            assert st._shift >= shift
+            shift = st._shift
+
+    move_paths = strategies.lists(strategies.integers(1, 30), min_size=1, max_size=8).map(tuple)
+
+    @given(move_paths, move_paths, strategies.lists(move_paths | strategies.just(()), max_size=4))
+    def test_moved_matrices_are_the_primitive_products(self, old, new, frags):
+        """Each moved record's matrix is the primitive product of its
+        new path, the new position followed by the record's fragment
+        below the moved node, and the public constructor accepts it."""
+        assume(not (len(new) > len(old) and new[: len(old)] == old))  # a cycle
+        assume(not (len(new) < len(old) and old[: len(new)] == new))  # an occupied slot
+        frags = set(frags) | {()}
+        closure = {p[:i] for p in [old + f for f in frags] + [new[:-1]] for i in range(1, len(p) + 1)}
+        st = build_store_from_paths(TreeStore, closure)
+        target = ".".join(map(str, new[:-1])) or "root"
+        below = [q for q in closure if q[: len(old)] == old]
+        assert st.move_subtree(st.resolve(".".join(map(str, old))), target, index=new[-1]) == len(below)
+        for q in below:
+            rec = st.resolve(Path(new + q[len(old):]))
+            assert rec.matrix.entries() == primitive_product(new + q[len(old):])
+            assert MobiusMatrix(*rec.matrix.entries()) == rec.matrix
+            assert rec.payload == ".".join(map(str, q))
+
+
+class TestAutoSlot:
+    """Without an index a node takes 1 + the highest occupied slot of
+    its new parent, counting the slot it leaves there as free; interior
+    gaps are never reused.  Under the root (det +1) and under a depth-1
+    node (det -1)."""
+
+    @pytest.fixture(params=["root", "7"])
+    def parent(self, request):
+        return request.param
+
+    @staticmethod
+    def store_with(parent, slots):
+        st = TreeStore() if parent == "root" else chain_store("7")
+        return st, {n: st.add_child(parent, str(n), index=n) for n in slots}
+
+    @staticmethod
+    def slot(rec):
+        return matrix_to_path(rec.matrix).components[-1]
+
+    def slots(self, st, parent):
+        return sorted(map(self.slot, st.children(parent)))
+
+    def test_after_deleting_the_top_child(self, parent):
+        st, kids = self.store_with(parent, [1, 2, 5])
+        st.delete_subtree(kids[5])
+        new = st.add_child(parent, "x")
+        assert self.slot(new) == 3
+        st.delete_subtree(new)
+        st.delete_subtree(kids[2])
+        assert self.slot(st.add_child(parent, "y")) == 2
+
+    def test_move_under_its_own_parent_from_the_top_slot(self, parent):
+        st, kids = self.store_with(parent, [1, 2, 9])
+        assert st.move_subtree(kids[9], parent) == 1
+        assert self.slot(kids[9]) == 3
+        assert self.slots(st, parent) == [1, 2, 3]
+
+    def test_move_under_its_own_parent_from_another_slot(self, parent):
+        st, kids = self.store_with(parent, [1, 2, 9])
+        kid = st.add_child(kids[2], "grandchild", index=4)
+        assert st.move_subtree(kids[2], parent) == 2
+        assert self.slot(kids[2]) == 10
+        assert matrix_to_path(kid.matrix).components[-2:] == (10, 4)
+        assert self.slots(st, parent) == [1, 9, 10]
+        assert st.move_subtree(kids[2], parent) == 2  # now the top: it stays
+        assert self.slot(kids[2]) == 10
+        assert st.resolve(matrix_to_path(kid.matrix)) is kid
+
+    def test_interior_gaps_are_not_reused(self, parent):
+        st, kids = self.store_with(parent, [1, 2, 3, 4])
+        st.delete_subtree(kids[2])
+        st.delete_subtree(kids[3])
+        assert self.slot(st.add_child(parent, "x")) == 5
+        other = st.add_child("root", "other", index=50)
+        st.move_subtree(other, parent)
+        assert self.slot(other) == 6
+        assert self.slots(st, parent) == [1, 4, 5, 6]
