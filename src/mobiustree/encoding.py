@@ -72,7 +72,7 @@ class Path:
     def __init__(self, components: Iterable[int] = ()):
         comps = tuple(components)
         for q in comps:
-            if not isinstance(q, int):
+            if not isinstance(q, int) or isinstance(q, bool):
                 raise TypeError(f"path component {q!r} is not an int")
             if q < 1:
                 raise DomainError(f"path component {to_decimal(q)} is < 1")
@@ -172,7 +172,7 @@ class MobiusMatrix:
 
     def __init__(self, a: int, b: int, c: int, d: int):
         for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
-            if not isinstance(v, int):
+            if not isinstance(v, int) or isinstance(v, bool):
                 raise TypeError(f"matrix entry {name} must be an int")
             if v < 0:
                 raise DomainError(f"matrix entry {name} is negative")
@@ -532,7 +532,7 @@ def child(m: MobiusMatrix, n: int) -> MobiusMatrix:
     n = 1 is legal even though it creates a non-canonical path; the
     matrix keeps it a distinct node.
     """
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("child index must be an int")
     if n < 1:
         raise DomainError(f"child index must be >= 1, got {to_decimal(n)}")

@@ -31,7 +31,7 @@ class DomainError(ValueError):
 
 
 def _check_int(name, value):
-    if not isinstance(value, int):
+    if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 

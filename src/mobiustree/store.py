@@ -3,9 +3,10 @@
 Payload-bearing nodes are keyed by their matrix.  Descendant queries run
 as range scans over an index ordered by exact interval endpoints,
 ancestor queries are pure parent() arithmetic, inserts never touch
-existing keys, and a subtree is walked down through its child slots,
-one child() per record, so deleting or relocating it needs no index
-(a move gives each record child(new, n) of its parent's new matrix).
+existing keys.  Each record keeps its own occupied child slots, so a
+subtree is walked down through them, one child() per record, and
+deleting or relocating it needs no index (a move gives each record
+child(new, n) of its parent's new matrix).
 
 Persistence format ("mobius-tree v1"): a header line, then one record
 per line as a<TAB>b<TAB>c<TAB>d<TAB>payload with the matrix entries in
@@ -97,14 +98,17 @@ class NodeRecord:
     """A stored node: a non-identity matrix plus an opaque UTF-8 payload.
 
     Records are identity objects owned by one store; the store re-keys
-    the matrix in place on move_subtree, so handles stay valid.
+    the matrix in place on move_subtree, so handles stay valid.  _kids
+    holds the node's occupied child slots, ascending (empty for a leaf);
+    child n's matrix is child(matrix, n).
     """
 
-    __slots__ = ("matrix", "payload")
+    __slots__ = ("matrix", "payload", "_kids")
 
     def __init__(self, matrix: MobiusMatrix, payload: str):
         self.matrix = matrix
         self.payload = payload
+        self._kids: list[int] = []
 
     def __repr__(self):
         return f"NodeRecord({self.matrix!r}, {self.payload!r})"
@@ -184,10 +188,8 @@ class TreeStore:
         self._records: dict[tuple[int, int, int, int], tuple[int, int, NodeRecord]] = {}
         self._shift = 0
         self._stale = False
-        # parent matrix key -> its occupied child slots, ascending; the
-        # root's list is keyed by the identity.  A record's list moves
-        # with it to its new key on move_subtree.
-        self._children: dict[tuple[int, int, int, int], list[int]] = {}
+        # holds the root's child slots as a record does; never in _records
+        self._root = NodeRecord(MobiusMatrix.IDENTITY, "")
         # the entries of _records sorted by key; re-sorted lazily after
         # any mutation
         self._index: list[tuple[int, int, NodeRecord]] | None = None
@@ -198,26 +200,25 @@ class TreeStore:
     def _key(m: MobiusMatrix) -> tuple[int, int, int, int]:
         return m.entries()
 
-    def _resolve_parent_ref(self, parent: ParentRef) -> MobiusMatrix:
-        """Normalize a parent/target reference to a present (or root)
-        matrix."""
+    def _resolve_parent_ref(self, parent: ParentRef) -> NodeRecord:
+        """Normalize a parent/target reference to a present record, or
+        to the _root sentinel.  A record must be this store's own."""
         if parent is None or (isinstance(parent, str) and parent == ROOT):
-            return MobiusMatrix.IDENTITY
+            return self._root
+        if isinstance(parent, NodeRecord):
+            return self._require(parent)[2]
         if isinstance(parent, str):
             parent = Path.parse(parent)
-        if isinstance(parent, NodeRecord):
-            m = parent.matrix
-        elif isinstance(parent, Path):
-            m = path_to_matrix(parent)
-        elif isinstance(parent, MobiusMatrix):
-            m = parent
-        else:
+        if isinstance(parent, Path):
+            parent = path_to_matrix(parent)
+        elif not isinstance(parent, MobiusMatrix):
             raise TypeError(f"bad parent reference: {parent!r}")
-        if m.is_identity:
-            return m
-        if self._key(m) not in self._records:
-            raise MissingNodeError(f"no node at {matrix_to_path(m)}")
-        return m
+        if parent.is_identity:
+            return self._root
+        entry = self._records.get(self._key(parent))
+        if entry is None:
+            raise MissingNodeError(f"no node at {matrix_to_path(parent)}")
+        return entry[2]
 
     def _require(self, record: NodeRecord) -> tuple[int, int, NodeRecord]:
         """The record's index entry; its keys are current only after
@@ -226,6 +227,12 @@ class TreeStore:
         if entry is None or entry[2] is not record:
             raise MissingNodeError("record is not in this store")
         return entry
+
+    def _records_at(self, parent: NodeRecord, slots: Iterable[int]) -> list[NodeRecord]:
+        """parent's children in the given slots, in that order: child n
+        is keyed by the entries of child(parent.matrix, n)."""
+        a, b, c, d = parent.matrix.entries()
+        return [self._records[(n * a + b, a, n * c + d, c)][2] for n in slots]
 
     def _entry(self, record: NodeRecord) -> tuple[int, int, NodeRecord]:
         """A new index entry for a record that just got its matrix."""
@@ -237,11 +244,9 @@ class TreeStore:
         self._stale = True
         return (0, 0, record)
 
-    def _detach(
-        self, node: NodeRecord, base: MobiusMatrix | None = None
-    ) -> list[tuple[NodeRecord, list[int] | None]]:
+    def _detach(self, node: NodeRecord, base: MobiusMatrix | None = None) -> list[NodeRecord]:
         """Take node's subtree out of the store and return its records,
-        each with its child slots, parents before children.
+        parents before children.
 
         The walk goes down through the child slots: the record in slot n
         under a parent matrix m is the one at child(m, n), so it costs
@@ -252,29 +257,26 @@ class TreeStore:
         under the matrices the records end with (slots ascending under
         det +1, descending under det -1, the sign alternating by depth),
         so the returned list is close to index order.  Only node's own
-        slot is dropped from its parent's list; every other record's
-        slot list is returned with it."""
-        records, children = self._records, self._children
+        slot is dropped from its parent's list; every record keeps its
+        own."""
+        records = self._records
         pm, slot = _parent_and_slot(node.matrix)
-        siblings = children[self._key(pm)]
+        siblings = self._resolve_parent_ref(pm)._kids
         del siblings[bisect.bisect_left(siblings, slot)]
-        if not siblings:
-            del children[self._key(pm)]
         out = []
         # (old matrix key, new matrix, det of the new one)
         stack = [(self._key(node.matrix), base, (node.matrix if base is None else base).det)]
         while stack:
             key, new, det = stack.pop()
             rec = records.pop(key)[2]
-            slots = children.pop(key, None)
-            out.append((rec, slots))
+            out.append(rec)
             if new is not None:
                 rec.matrix = new
-            if slots:
+            if rec._kids:
                 a, b, c, d = key
                 # the key of child(old, n); the stack pops the last
                 # pushed first
-                for n in reversed(slots) if det == 1 else slots:
+                for n in reversed(rec._kids) if det == 1 else rec._kids:
                     stack.append(
                         ((n * a + b, a, n * c + d, c), None if new is None else child(new, n), -det)
                     )
@@ -282,24 +284,26 @@ class TreeStore:
         return out
 
     def _choose_slot(
-        self, pm: MobiusMatrix, index: int | None, vacating: int | None = None
+        self, parent: NodeRecord, index: int | None, vacating: int | None = None
     ) -> int:
-        """Child slot under pm for a node being placed there: the
+        """Child slot under parent for a node being placed there: the
         requested index if it is free, else 1 + the highest occupied
-        slot.  vacating is pm's slot that the placed node itself frees
-        (a move under its own parent)."""
-        occupied = self._children.get(self._key(pm), ())
+        slot.  vacating is parent's slot that the placed node itself
+        frees (a move under its own parent)."""
+        occupied = parent._kids
         if index is None:
             top = occupied[-1] if occupied else 0
             if top == vacating:
                 top = occupied[-2] if len(occupied) > 1 else 0
             return top + 1
-        if not isinstance(index, int) or index < 1:
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise TypeError(f"child index must be an int, got {type(index).__name__}")
+        if index < 1:
             raise DomainError(f"child index must be >= 1, got {to_decimal(index)}")
         i = bisect.bisect_left(occupied, index)
         if i < len(occupied) and occupied[i] == index and index != vacating:
             raise OccupiedSlotError(
-                f"slot {to_decimal(index)} under {matrix_to_path(pm)} is occupied"
+                f"slot {to_decimal(index)} under {matrix_to_path(parent.matrix)} is occupied"
             )
         return index
 
@@ -350,11 +354,9 @@ class TreeStore:
         map (a*x + b)/(c*x + d), which keeps order for determinant +1
         and reverses it for -1, so the slots sorted that way give the
         interval order."""
-        pm = self._resolve_parent_ref(parent)
-        slots = self._children.get(self._key(pm), ())
-        if pm.det == -1:
-            slots = reversed(slots)
-        return [self._records[self._key(child(pm, n))][2] for n in slots]
+        rec = self._resolve_parent_ref(parent)
+        slots = rec._kids if rec.matrix.det == 1 else reversed(rec._kids)
+        return self._records_at(rec, slots)
 
     def descendants(self, node: NodeRecord) -> list[NodeRecord]:
         """All records whose interval nests strictly inside the node's,
@@ -407,13 +409,12 @@ class TreeStore:
         matrix entries, the key portion of a record line."""
         max_depth = 0
         # depths by walking the child slots down from the root: one
-        # child() per record, where decoding a path costs O(depth)
-        stack = [(MobiusMatrix.IDENTITY, 0)]
+        # child key per record, where decoding a path costs O(depth)
+        stack = [(self._root, 0)]
         while stack:
-            pm, depth = stack.pop()
+            rec, depth = stack.pop()
             max_depth = max(max_depth, depth)
-            for slot in self._children.get(self._key(pm), ()):
-                stack.append((child(pm, slot), depth + 1))
+            stack += [(kid, depth + 1) for kid in self._records_at(rec, rec._kids)]
         max_bits = 0
         max_key = 0
         for _, _, rec in self._records.values():
@@ -437,11 +438,11 @@ class TreeStore:
             payload.encode()
         except UnicodeEncodeError:
             raise DomainError("payload cannot be encoded as UTF-8") from None
-        pm = self._resolve_parent_ref(parent)
-        slot = self._choose_slot(pm, index)
-        rec = NodeRecord(child(pm, slot), payload)
+        parent = self._resolve_parent_ref(parent)
+        slot = self._choose_slot(parent, index)
+        rec = NodeRecord(child(parent.matrix, slot), payload)
         self._records[self._key(rec.matrix)] = self._entry(rec)
-        bisect.insort(self._children.setdefault(self._key(pm), []), slot)
+        bisect.insort(parent._kids, slot)
         self._index = None
         return rec
 
@@ -463,26 +464,23 @@ class TreeStore:
         returns the number of re-keyed records.
         """
         self._require(src)
-        pm = self._resolve_parent_ref(new_parent)
-        if not pm.is_identity:
-            if pm == src.matrix or is_ancestor(src.matrix, pm):
-                raise CycleError("cannot move a subtree under itself")
+        parent = self._resolve_parent_ref(new_parent)
+        pm = parent.matrix
+        if parent is src or is_ancestor(src.matrix, pm):
+            raise CycleError("cannot move a subtree under itself")
         old_parent, old_slot = _parent_and_slot(src.matrix)
-        slot = self._choose_slot(pm, index, old_slot if old_parent == pm else None)
+        slot = self._choose_slot(parent, index, old_slot if old_parent == pm else None)
         # the whole subtree leaves before any record returns, so a move
         # into src's own vacated slot finds its old keys gone
         moved = self._detach(src, child(pm, slot))
-        entries = [self._entry(rec) for rec, _ in moved]
+        entries = [self._entry(rec) for rec in moved]
         if not self._stale:
             # keep the moved entries one sorted run for the index sort
             entries.sort()
-        records, children = self._records, self._children
+        records = self._records
         for entry in entries:
             records[self._key(entry[2].matrix)] = entry
-        for rec, slots in moved:
-            if slots is not None:
-                children[self._key(rec.matrix)] = slots
-        bisect.insort(children.setdefault(self._key(pm), []), slot)
+        bisect.insort(parent._kids, slot)
         return len(moved)
 
     # -- persistence ------------------------------------------------------
@@ -546,7 +544,7 @@ class TreeStore:
             raise LoadError(1, f"expected header {FILE_HEADER!r}")
 
         store = cls()
-        parent_of_line: list[tuple[int, MobiusMatrix]] = []
+        records = store._records
         for lineno, line in enumerate(lines[1:], start=2):
             fields = line.split("\t")
             if len(fields) != 5:
@@ -562,22 +560,23 @@ class TreeStore:
             if m.is_identity:
                 raise LoadError(lineno, "the identity matrix is not a storable node")
             key = m.entries()
-            if key in store._records:
+            if key in records:
                 raise LoadError(lineno, f"duplicate matrix {m}")
             try:
                 payload = unescape_payload(fields[4])
             except ValueError as e:
                 raise LoadError(lineno, str(e)) from None
-            pm, slot = _parent_and_slot(m)
-            store._records[key] = store._entry(NodeRecord(m, payload))
-            store._children.setdefault(pm.entries(), []).append(slot)
-            parent_of_line.append((lineno, pm))
+            records[key] = store._entry(NodeRecord(m, payload))
 
-        # a det -1 parent's slots arrive in descending order
-        for slots in store._children.values():
-            slots.sort()
-
-        for lineno, pm in parent_of_line:
-            if not pm.is_identity and pm.entries() not in store._records:
+        # a second pass: a det +1 parent's first child comes before it;
+        # records keep the file's line order
+        for lineno, (_, _, rec) in enumerate(records.values(), start=2):
+            pm, slot = _parent_and_slot(rec.matrix)
+            entry = records.get(pm.entries())
+            if entry is None and not pm.is_identity:
                 raise LoadError(lineno, f"orphan record: parent {matrix_to_path(pm)} missing")
+            (store._root if entry is None else entry[2])._kids.append(slot)
+        # a det -1 parent's slots arrive in descending order
+        for rec in (store._root, *store):
+            rec._kids.sort()
         return store

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path as FsPath
+
 import pytest
 
 from mobiustree.cli import main
+
+SRC = FsPath(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -372,3 +379,30 @@ class TestStoreCommands:
             slot, _, payload = line.split("\t")
             assert slot == "  " * (len(p) - 1) + str(p[-1])
             assert paths[int(payload)] == p
+
+
+def test_exit_codes_of_a_real_process(tmp_path):
+    """The process exit status, not only main()'s return value, carries
+    each documented code; failures print nothing on stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    cases = [
+        (["encode", "--path", "3.12"], 0),
+        (["no-such-command"], 2),
+        (["encode", "--path", "0"], 3),
+        (["ls", str(tmp_path / "nope.db")], 4),
+    ]
+    for argv, code in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mobiustree.cli", *argv],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=env,
+        )
+        assert proc.returncode == code, (argv, proc.stderr)
+        if code == 0:
+            assert proc.stdout.startswith("path: 3.12\nratio: 37/12\n")
+        elif code >= 3:
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error:")

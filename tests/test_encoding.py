@@ -56,6 +56,8 @@ class TestPath:
             Path([0])
         with pytest.raises(TypeError):
             Path(["3"])
+        with pytest.raises(TypeError):
+            Path([3, True])  # would print as 3.True
 
     def test_canonical(self):
         assert Path([3, 12, 5, 1]).canonical() == Path([3, 12, 6])
@@ -87,6 +89,11 @@ class TestMatrixType:
             M(1, 1, 0, 1)  # c = 0 off-identity
         with pytest.raises(DomainError):
             M(1, 0, 1, 1)  # b < d
+
+    def test_constructor_rejects_non_int_entries(self):
+        for bad in [(True, 0, 0, True), (3, 1, 1, False), (3, 1, 1.0, 0), (3, "1", 1, 0)]:
+            with pytest.raises(TypeError):
+                M(*bad)
 
     def test_identity(self):
         assert MobiusMatrix.IDENTITY.is_identity
@@ -327,6 +334,9 @@ class TestNavigation:
         assert child(M(37, 3, 12, 1), 5) == path_to_matrix([3, 12, 5])
         with pytest.raises(DomainError):
             child(MobiusMatrix.IDENTITY, 0)
+        for bad in [True, 2.0, "2"]:
+            with pytest.raises(TypeError):
+                child(MobiusMatrix.IDENTITY, bad)
 
     def test_concat_worked_example(self):
         assert concat(M(37, 3, 12, 1), M(131, 6, 22, 1)).entries() == (4913, 225, 1594, 73)

@@ -41,6 +41,14 @@ class TestGcd:
         with pytest.raises(DomainError):
             gcd(-4, 2)
 
+    def test_non_int_rejected(self):
+        for args in [(True, 2), (4, False), (4.0, 2)]:
+            for f in (gcd, ext_gcd):
+                with pytest.raises(TypeError):
+                    f(*args)
+        with pytest.raises(TypeError):
+            euclid_quotients(True, True)
+
 
 class TestExtGcd:
     def test_worked_bezout_pair(self):
@@ -122,6 +130,11 @@ class TestRatio:
         assert (Ratio(0, 5).num, Ratio(0, 5).den) == (0, 1)
         with pytest.raises(DomainError):
             Ratio(0, 0)
+
+    def test_non_int_parts_rejected(self):
+        for args in [(True,), (3, True), (1.5, 1), (3, "2")]:
+            with pytest.raises(TypeError):
+                Ratio(*args)
 
     def test_infinity_sentinel(self):
         assert INFINITY.is_infinite

@@ -90,6 +90,15 @@ class TestAddChild:
         st.delete_subtree(st.resolve("4"))
         assert matrix_to_path(st.add_child("root", "again").matrix) == Path([3])
 
+    @pytest.mark.parametrize("index", [True, 2.0, "2"])
+    def test_index_must_be_an_int(self, index):
+        st = chain_store("3")
+        with pytest.raises(TypeError):
+            st.add_child("root", "x", index=index)
+        with pytest.raises(TypeError):
+            st.move_subtree(st.resolve("3"), "root", index=index)
+        assert paths_of(st) == ["3"]
+
     def test_insert_is_non_volatile(self):
         st = chain_store("3.12.5.1.21", "4.7")
         before = {r: r.matrix for r in st}
@@ -163,6 +172,49 @@ class TestResolveAndQueries:
         assert {str(matrix_to_path(r.matrix)) for r in kids} == {"3.1", "3.2", "3.5"}
         top = st.children()
         assert {str(matrix_to_path(r.matrix)) for r in top} == {"3", "4"}
+
+
+class TestRecordHandles:
+    """A NodeRecord reference is resolved by identity: a record that was
+    deleted, even one whose slot a new node took since, and a record of
+    another store are missing for every operation, and the store is left
+    as it was."""
+
+    OPS = {
+        "add_child": lambda st, h: st.add_child(h, "x"),
+        "move_subtree_to": lambda st, h: st.move_subtree(st.resolve("4"), h),
+        "move_subtree_from": lambda st, h: st.move_subtree(h, "root"),
+        "children": lambda st, h: st.children(h),
+        "descendants": lambda st, h: st.descendants(h),
+        "ancestors": lambda st, h: st.ancestors(h),
+        "delete_subtree": lambda st, h: st.delete_subtree(h),
+    }
+
+    @staticmethod
+    def contents(st):
+        return [(str(matrix_to_path(r.matrix)), r.payload) for r in st.all_nodes()]
+
+    def check_missing(self, st, handle, op):
+        before = self.contents(st)
+        with pytest.raises(MissingNodeError):
+            self.OPS[op](st, handle)
+        assert self.contents(st) == before
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_stale_handle_whose_slot_was_taken(self, op):
+        st = chain_store("3.1", "4")
+        stale = st.resolve("3")
+        st.delete_subtree(stale)
+        new = st.add_child("root", "new", index=3)
+        assert new.matrix == stale.matrix
+        self.check_missing(st, stale, op)
+        assert st.children(new) == []
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_record_of_another_store(self, op):
+        st = chain_store("3.1", "4")
+        foreign = chain_store("3.1", "4").resolve("3")
+        self.check_missing(st, foreign, op)
 
 
 class TestMoveSubtree:
