@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .exactmath import DomainError, Ratio, from_decimal, to_decimal
@@ -17,22 +18,25 @@ from .encoding import (
     MobiusMatrix,
     NestedInterval,
     Path,
+    _parent_and_slot,
     interval_to_matrix,
     matrix_to_interval,
     matrix_to_path,
     path_to_matrix,
     ratio_to_matrix,
 )
-from .store import ROOT, NodeRecord, StoreError, TreeStore, _parent_and_slot, escape_payload
+from .store import ROOT, NodeRecord, StoreError, TreeStore, escape_payload
+
+_SLOT_RE = re.compile(r"-?[0-9]+")
 
 
 def _slot(text: str) -> int:
-    """argparse type of --index: a decimal int of any length.  The
-    store rejects slots below 1 as a domain error."""
-    try:
-        return from_decimal(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid slot: {text!r}") from None
+    """argparse type of --index: ASCII decimal digits of any length,
+    with an optional "-".  The store rejects slots below 1 as a domain
+    error."""
+    if _SLOT_RE.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"invalid slot: {text!r}")
+    return from_decimal(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,10 +132,6 @@ def _cmd_decode(args, out) -> int:
     return 0
 
 
-def _load(args) -> TreeStore:
-    return TreeStore.load(args.file)
-
-
 def _cmd_init(args, out) -> int:
     if os.path.exists(args.file):
         raise StoreError(f"{args.file} already exists")
@@ -140,7 +140,7 @@ def _cmd_init(args, out) -> int:
 
 
 def _cmd_add(args, out) -> int:
-    store = _load(args)
+    store = TreeStore.load(args.file)
     rec = store.add_child(args.parent, args.payload, index=args.index)
     store.save(args.file)
     print(_record_line(rec), file=out)
@@ -148,7 +148,7 @@ def _cmd_add(args, out) -> int:
 
 
 def _cmd_mv(args, out) -> int:
-    store = _load(args)
+    store = TreeStore.load(args.file)
     src = store.resolve(args.node)
     count = store.move_subtree(src, args.to, index=args.index)
     store.save(args.file)
@@ -157,7 +157,7 @@ def _cmd_mv(args, out) -> int:
 
 
 def _cmd_rm(args, out) -> int:
-    store = _load(args)
+    store = TreeStore.load(args.file)
     count = store.delete_subtree(store.resolve(args.node))
     store.save(args.file)
     print(f"removed: {count}", file=out)
@@ -165,43 +165,41 @@ def _cmd_rm(args, out) -> int:
 
 
 def _cmd_ls(args, out) -> int:
-    store = _load(args)
-    if args.node != ROOT:
-        store.resolve(args.node)  # missing node is an error even if leaf
+    store = TreeStore.load(args.file)
     for rec in store.children(args.node):
         print(_record_line(rec), file=out)
     return 0
 
 
 def _cmd_tree(args, out) -> int:
-    store = _load(args)
+    store = TreeStore.load(args.file)
     # explicit stack: store depth is unbounded, recursion is not
     stack = [(rec, 0) for rec in reversed(store.children(ROOT))]
     while stack:
         rec, level = stack.pop()
         m = rec.matrix
-        slot = _parent_and_slot(m)[1]
+        slot = _parent_and_slot(*m.entries())[1]
         print(f"{'  ' * level}{to_decimal(slot)}\t{Ratio(m.a, m.c)}\t{escape_payload(rec.payload)}", file=out)
         stack.extend((kid, level + 1) for kid in reversed(store.children(rec)))
     return 0
 
 
 def _cmd_ancestors(args, out) -> int:
-    store = _load(args)
+    store = TreeStore.load(args.file)
     for rec in store.ancestors(store.resolve(args.node)):
         print(_record_line(rec), file=out)
     return 0
 
 
 def _cmd_descendants(args, out) -> int:
-    store = _load(args)
+    store = TreeStore.load(args.file)
     for rec in store.descendants(store.resolve(args.node)):
         print(_record_line(rec), file=out)
     return 0
 
 
 def _cmd_stats(args, out) -> int:
-    st = _load(args).stats()
+    st = TreeStore.load(args.file).stats()
     print(f"nodes: {st.nodes}", file=out)
     print(f"max_depth: {st.max_depth}", file=out)
     print(f"max_numerator_bits: {st.max_numerator_bits}", file=out)

@@ -444,9 +444,7 @@ def matrix_to_interval(m: MobiusMatrix) -> NestedInterval:
     a, b, c, d = m.a, m.b, m.c, m.d
     open_pt = _unchecked_ratio(a, c)
     closed_pt = _unchecked_ratio(a + b, c + d)
-    # det is +-1, and -1 and +1 differ mod 4, so the low two bits of the
-    # entries give its sign without multiplying the full entries
-    if ((a & 3) * (d & 3) - (b & 3) * (c & 3)) & 3 == 3:
+    if _det_sign(a, b, c, d) == -1:
         return _unchecked_interval(open_pt, closed_pt, "high")
     return _unchecked_interval(closed_pt, open_pt, "low")
 
@@ -493,17 +491,29 @@ def parent(m: MobiusMatrix) -> MobiusMatrix | None:
     a, b, c, d = m.a, m.b, m.c, m.d
     if a == 1 and b == 0 and c == 0 and d == 1:
         return None
-    return _unchecked_matrix(*_parent_entries(a, b, c, d))
+    return _unchecked_matrix(*_parent_and_slot(a, b, c, d)[0])
 
 
-def _parent_entries(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
-    """The step of parent() on the entries of a non-identity matrix."""
+def _parent_and_slot(a: int, b: int, c: int, d: int) -> tuple[tuple[int, int, int, int], int]:
+    """The step of parent() on the entries of a non-identity matrix: the
+    parent's entries and the last path component."""
     q = a // b
     dp = c - q * d
     if dp < 0:
         q -= 1
         dp += d
-    return b, a - q * b, d, dp
+    return (b, a - q * b, d, dp), q
+
+
+def _child_entries(a: int, b: int, c: int, d: int, n: int) -> tuple[int, int, int, int]:
+    """The step of child(): the entries of [[a,b],[c,d]] * [[n,1],[1,0]]."""
+    return n * a + b, a, n * c + d, c
+
+
+def _det_sign(a: int, b: int, c: int, d: int) -> int:
+    """The determinant +-1 of a valid matrix's entries: -1 and +1 differ
+    mod 4, so the entries' low two bits give it."""
+    return -1 if ((a & 3) * (d & 3) - (b & 3) * (c & 3)) & 3 == 3 else 1
 
 
 def next_sibling(m: MobiusMatrix) -> MobiusMatrix:
@@ -538,7 +548,7 @@ def child(m: MobiusMatrix, n: int) -> MobiusMatrix:
         raise DomainError(f"child index must be >= 1, got {to_decimal(n)}")
     # with n >= 1 the product keeps m's entry ordering and flips the
     # determinant's sign, so it needs no check
-    return _unchecked_matrix(n * m.a + m.b, m.a, n * m.c + m.d, m.c)
+    return _unchecked_matrix(*_child_entries(m.a, m.b, m.c, m.d, n))
 
 
 def concat(m1: MobiusMatrix, m2: MobiusMatrix) -> MobiusMatrix:

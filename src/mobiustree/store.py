@@ -1,12 +1,13 @@
 """File-backed hierarchical store indexed by the interval encoding.
 
-Payload-bearing nodes are keyed by their matrix.  Descendant queries run
-as range scans over an index ordered by exact interval endpoints,
-ancestor queries are pure parent() arithmetic, inserts never touch
-existing keys.  Each record keeps its own occupied child slots, so a
-subtree is walked down through them, one child() per record, and
-deleting or relocating it needs no index (a move gives each record
-child(new, n) of its parent's new matrix).
+Payload-bearing nodes are keyed by the four entries of their matrix,
+and each record holds that same entry tuple; its matrix is a view built
+on demand.  Descendant queries run as range scans over an index ordered
+by exact interval endpoints, ancestor queries are parent steps on the
+entries, inserts never touch existing keys.  Each record keeps its own
+occupied child slots, so a subtree is walked down through them, one
+child step per record, and deleting or relocating it needs no index (a
+move gives each record the child step of its parent's new entries).
 
 Persistence format ("mobius-tree v1"): a header line, then one record
 per line as a<TAB>b<TAB>c<TAB>d<TAB>payload with the matrix entries in
@@ -33,12 +34,12 @@ from .exactmath import DomainError, from_decimal, to_decimal
 from .encoding import (
     MobiusMatrix,
     Path,
-    _parent_entries,
+    _child_entries,
+    _det_sign,
+    _parent_and_slot,
     _unchecked_matrix,
-    child,
     is_ancestor,
     matrix_to_path,
-    parent as _matrix_parent,
     path_to_matrix,
 )
 
@@ -97,18 +98,23 @@ class LoadError(StoreError):
 class NodeRecord:
     """A stored node: a non-identity matrix plus an opaque UTF-8 payload.
 
-    Records are identity objects owned by one store; the store re-keys
-    the matrix in place on move_subtree, so handles stay valid.  _kids
-    holds the node's occupied child slots, ascending (empty for a leaf);
-    child n's matrix is child(matrix, n).
+    Records are identity objects owned by one store.  _key holds the
+    matrix's entries, the tuple that keys the store's _records; matrix
+    is a read-only view of it.  move_subtree re-keys records in place,
+    so handles stay valid.  _kids holds the node's occupied child slots,
+    ascending (empty for a leaf).
     """
 
-    __slots__ = ("matrix", "payload", "_kids")
+    __slots__ = ("_key", "payload", "_kids")
 
-    def __init__(self, matrix: MobiusMatrix, payload: str):
-        self.matrix = matrix
+    def __init__(self, key: tuple[int, int, int, int], payload: str):
+        self._key = key
         self.payload = payload
         self._kids: list[int] = []
+
+    @property
+    def matrix(self) -> MobiusMatrix:
+        return _unchecked_matrix(*self._key)
 
     def __repr__(self):
         return f"NodeRecord({self.matrix!r}, {self.payload!r})"
@@ -146,14 +152,14 @@ def unescape_payload(text: str) -> str:
     return _ESCAPE_RE.sub(_unescape_one, text)
 
 
-def _endpoint_keys(m: MobiusMatrix, k: int) -> tuple[int, int]:
+def _endpoint_keys(key: tuple[int, int, int, int], k: int) -> tuple[int, int]:
     """floor(lo * 2**k), floor(hi * 2**k) for the endpoints a/c and
-    (a+b)/(c+d) of m's interval; a non-identity m has c >= 1."""
-    a, b, c, d = m.a, m.b, m.c, m.d
+    (a+b)/(c+d) of a non-identity matrix's entries, where c >= 1."""
+    a, b, c, d = key
     open_key = (a << k) // c
     closed_key = ((a + b) << k) // (c + d)
-    # det is +-1, and -1 and +1 differ mod 4: det -1 is (a/c, (a+b)/(c+d)]
-    if ((a & 3) * (d & 3) - (b & 3) * (c & 3)) & 3 == 3:
+    # det -1 is (a/c, (a+b)/(c+d)]
+    if _det_sign(a, b, c, d) == -1:
         return open_key, closed_key
     return closed_key, open_key
 
@@ -166,39 +172,26 @@ def _shift_for(den: int) -> int:
     return 2 * den.bit_length() + 2
 
 
-def _parent_and_slot(m: MobiusMatrix) -> tuple[MobiusMatrix, int]:
-    """Parent matrix and last path component of a non-identity matrix,
-    both O(1)."""
-    pm = _matrix_parent(m)
-    assert pm is not None
-    slot = (m.a - pm.b) // m.b
-    return pm, slot
-
-
 class TreeStore:
     """In-memory tree of NodeRecords with exact interval indexing."""
 
     def __init__(self):
-        # matrix key -> index entry (lo_key, hi_key, record), where a key
-        # is the endpoint scaled by 2**_shift and floored (see
+        # record._key -> index entry (lo_key, hi_key, record), where a
+        # key is the endpoint scaled by 2**_shift and floored (see
         # _endpoint_keys).  A record's keys are computed once, when it
-        # gets its matrix.  _shift only grows: a record that needs a
+        # gets its entries.  _shift only grows: a record that needs a
         # wider one makes every key stale (left 0 until _ensure_index
         # re-keys the whole store at the widest record's shift).
         self._records: dict[tuple[int, int, int, int], tuple[int, int, NodeRecord]] = {}
         self._shift = 0
         self._stale = False
         # holds the root's child slots as a record does; never in _records
-        self._root = NodeRecord(MobiusMatrix.IDENTITY, "")
+        self._root = NodeRecord(_ROOT_KEY, "")
         # the entries of _records sorted by key; re-sorted lazily after
         # any mutation
         self._index: list[tuple[int, int, NodeRecord]] | None = None
 
     # -- plumbing ---------------------------------------------------------
-
-    @staticmethod
-    def _key(m: MobiusMatrix) -> tuple[int, int, int, int]:
-        return m.entries()
 
     def _resolve_parent_ref(self, parent: ParentRef) -> NodeRecord:
         """Normalize a parent/target reference to a present record, or
@@ -213,9 +206,10 @@ class TreeStore:
             parent = path_to_matrix(parent)
         elif not isinstance(parent, MobiusMatrix):
             raise TypeError(f"bad parent reference: {parent!r}")
-        if parent.is_identity:
+        key = parent.entries()
+        if key == _ROOT_KEY:
             return self._root
-        entry = self._records.get(self._key(parent))
+        entry = self._records.get(key)
         if entry is None:
             raise MissingNodeError(f"no node at {matrix_to_path(parent)}")
         return entry[2]
@@ -223,63 +217,60 @@ class TreeStore:
     def _require(self, record: NodeRecord) -> tuple[int, int, NodeRecord]:
         """The record's index entry; its keys are current only after
         _ensure_index."""
-        entry = self._records.get(self._key(record.matrix))
+        entry = self._records.get(record._key)
         if entry is None or entry[2] is not record:
             raise MissingNodeError("record is not in this store")
         return entry
 
     def _records_at(self, parent: NodeRecord, slots: Iterable[int]) -> list[NodeRecord]:
         """parent's children in the given slots, in that order: child n
-        is keyed by the entries of child(parent.matrix, n)."""
-        a, b, c, d = parent.matrix.entries()
-        return [self._records[(n * a + b, a, n * c + d, c)][2] for n in slots]
+        is keyed by the child step n of parent's entries."""
+        key = parent._key
+        return [self._records[_child_entries(*key, n)][2] for n in slots]
 
     def _entry(self, record: NodeRecord) -> tuple[int, int, NodeRecord]:
-        """A new index entry for a record that just got its matrix."""
-        m = record.matrix
-        if not self._stale and _shift_for(m.c + m.d) <= self._shift:
-            return (*_endpoint_keys(m, self._shift), record)
+        """A new index entry for a record that just got its entries."""
+        key = record._key
+        if not self._stale and _shift_for(key[2] + key[3]) <= self._shift:
+            return (*_endpoint_keys(key, self._shift), record)
         # wider than every record so far, or the keys are stale already:
         # _ensure_index widens the shift and re-keys all
         self._stale = True
         return (0, 0, record)
 
-    def _detach(self, node: NodeRecord, base: MobiusMatrix | None = None) -> list[NodeRecord]:
+    def _detach(self, node: NodeRecord, base: tuple | None = None) -> list[NodeRecord]:
         """Take node's subtree out of the store and return its records,
         parents before children.
 
         The walk goes down through the child slots: the record in slot n
-        under a parent matrix m is the one at child(m, n), so it costs
-        one primitive factor per record and needs neither the index nor
-        a parent() step.  With base, each record also gets its new
-        matrix on the way down: base for node, child(new, n) under its
-        parent's new matrix.  Children are visited in interval order
-        under the matrices the records end with (slots ascending under
+        under a parent's entries is keyed by their child step n, so it
+        costs one step per record and needs neither the index nor a
+        parent step.  With base, each record also gets its new entries
+        on the way down: base for node, the child step n of its parent's
+        new entries below it.  Children are visited in interval order
+        under the entries the records end with (slots ascending under
         det +1, descending under det -1, the sign alternating by depth),
         so the returned list is close to index order.  Only node's own
         slot is dropped from its parent's list; every record keeps its
         own."""
         records = self._records
-        pm, slot = _parent_and_slot(node.matrix)
-        siblings = self._resolve_parent_ref(pm)._kids
+        pkey, slot = _parent_and_slot(*node._key)
+        siblings = (self._root if pkey == _ROOT_KEY else records[pkey][2])._kids
         del siblings[bisect.bisect_left(siblings, slot)]
         out = []
-        # (old matrix key, new matrix, det of the new one)
-        stack = [(self._key(node.matrix), base, (node.matrix if base is None else base).det)]
+        # (old key, new key, det of the new one)
+        stack = [(node._key, base, _det_sign(*(base or node._key)))]
         while stack:
             key, new, det = stack.pop()
             rec = records.pop(key)[2]
             out.append(rec)
             if new is not None:
-                rec.matrix = new
-            if rec._kids:
-                a, b, c, d = key
-                # the key of child(old, n); the stack pops the last
-                # pushed first
-                for n in reversed(rec._kids) if det == 1 else rec._kids:
-                    stack.append(
-                        ((n * a + b, a, n * c + d, c), None if new is None else child(new, n), -det)
-                    )
+                rec._key = new
+            # the stack pops the last pushed first
+            for n in reversed(rec._kids) if det == 1 else rec._kids:
+                stack.append(
+                    (_child_entries(*key, n), None if new is None else _child_entries(*new, n), -det)
+                )
         self._index = None
         return out
 
@@ -313,12 +304,12 @@ class TreeStore:
             if self._stale:
                 # the record that made the keys stale may be gone again,
                 # so the shift is never lowered below its old value
-                max_den = max((r.matrix.c + r.matrix.d for _, _, r in records.values()), default=0)
+                max_den = max((c + d for _, _, c, d in records), default=0)
                 k = self._shift = max(self._shift, _shift_for(max_den))
                 # every entry first, then swapped in: the new entries lie
                 # together in memory, and no second dict is built (each
                 # key is present, so the update does not resize the dict)
-                entries = [(*_endpoint_keys(r.matrix, k), r) for _, _, r in records.values()]
+                entries = [(*_endpoint_keys(key, k), r) for key, (_, _, r) in records.items()]
                 records.update(zip(records, entries))
                 self._stale = False
             # no two nodes share both endpoints, so records never compare
@@ -337,7 +328,7 @@ class TreeStore:
         """Record at a path; raises MissingNodeError."""
         if isinstance(path, str):
             path = Path.parse(path)
-        entry = self._records.get(self._key(path_to_matrix(path)))
+        entry = self._records.get(path_to_matrix(path).entries())
         if entry is None:
             raise MissingNodeError(f"no node at {path}")
         return entry[2]
@@ -355,7 +346,7 @@ class TreeStore:
         and reverses it for -1, so the slots sorted that way give the
         interval order."""
         rec = self._resolve_parent_ref(parent)
-        slots = rec._kids if rec.matrix.det == 1 else reversed(rec._kids)
+        slots = rec._kids if _det_sign(*rec._key) == 1 else reversed(rec._kids)
         return self._records_at(rec, slots)
 
     def descendants(self, node: NodeRecord) -> list[NodeRecord]:
@@ -385,13 +376,13 @@ class TreeStore:
         return out
 
     def ancestors(self, node: NodeRecord) -> list[NodeRecord]:
-        """Ancestor chain by parent() arithmetic alone (no index scan),
-        root side first, root excluded."""
+        """Ancestor chain by parent steps on the entries alone (no index
+        scan), root side first, root excluded."""
         self._require(node)
         chain = []
-        key = self._key(node.matrix)
+        key = node._key
         while True:
-            key = _parent_entries(*key)
+            key = _parent_and_slot(*key)[0]
             if key == _ROOT_KEY:
                 break
             entry = self._records.get(key)
@@ -417,10 +408,9 @@ class TreeStore:
             stack += [(kid, depth + 1) for kid in self._records_at(rec, rec._kids)]
         max_bits = 0
         max_key = 0
-        for _, _, rec in self._records.values():
-            m = rec.matrix
-            max_bits = max(max_bits, m.a.bit_length())
-            max_key = max(max_key, len("\t".join(map(to_decimal, m.entries()))))
+        for key in self._records:
+            max_bits = max(max_bits, key[0].bit_length())
+            max_key = max(max_key, len("\t".join(map(to_decimal, key))))
         return StoreStats(len(self._records), max_depth, max_bits, max_key)
 
     # -- mutation ---------------------------------------------------------
@@ -440,8 +430,8 @@ class TreeStore:
             raise DomainError("payload cannot be encoded as UTF-8") from None
         parent = self._resolve_parent_ref(parent)
         slot = self._choose_slot(parent, index)
-        rec = NodeRecord(child(parent.matrix, slot), payload)
-        self._records[self._key(rec.matrix)] = self._entry(rec)
+        rec = NodeRecord(_child_entries(*parent._key, slot), payload)
+        self._records[rec._key] = self._entry(rec)
         bisect.insort(parent._kids, slot)
         self._index = None
         return rec
@@ -459,27 +449,26 @@ class TreeStore:
         Each subtree record keeps its path fragment relative to src: src
         takes child(new_parent, n), and every record below it child(m,
         k) of its parent's new matrix m for the slot k it held, one
-        primitive factor per record.  Each record keeps its child slots,
+        child step per record.  Each record keeps its child slots,
         and only src's own slot changes.  Payloads are untouched;
         returns the number of re-keyed records.
         """
         self._require(src)
         parent = self._resolve_parent_ref(new_parent)
-        pm = parent.matrix
-        if parent is src or is_ancestor(src.matrix, pm):
+        if parent is src or is_ancestor(src.matrix, parent.matrix):
             raise CycleError("cannot move a subtree under itself")
-        old_parent, old_slot = _parent_and_slot(src.matrix)
-        slot = self._choose_slot(parent, index, old_slot if old_parent == pm else None)
+        old_parent, old_slot = _parent_and_slot(*src._key)
+        slot = self._choose_slot(parent, index, old_slot if old_parent == parent._key else None)
         # the whole subtree leaves before any record returns, so a move
         # into src's own vacated slot finds its old keys gone
-        moved = self._detach(src, child(pm, slot))
+        moved = self._detach(src, _child_entries(*parent._key, slot))
         entries = [self._entry(rec) for rec in moved]
         if not self._stale:
             # keep the moved entries one sorted run for the index sort
             entries.sort()
         records = self._records
         for entry in entries:
-            records[self._key(entry[2].matrix)] = entry
+            records[entry[2]._key] = entry
         bisect.insort(parent._kids, slot)
         return len(moved)
 
@@ -495,8 +484,7 @@ class TreeStore:
         destination = FsPath(destination)
         lines = [FILE_HEADER]
         for _, _, rec in self._ensure_index():
-            entries = rec.matrix.entries()
-            lines.append("\t".join([*map(to_decimal, entries), escape_payload(rec.payload)]))
+            lines.append("\t".join([*map(to_decimal, rec._key), escape_payload(rec.payload)]))
         data = ("\n".join(lines) + "\n").encode()
         directory = destination.parent
         try:
@@ -527,7 +515,9 @@ class TreeStore:
     @classmethod
     def load(cls, source: str | FsPath) -> "TreeStore":
         """Parse a persistence file, validating matrices, uniqueness and
-        parent closure; errors name the offending line."""
+        parent closure; errors name the offending line.  Each line's
+        entries pass the MobiusMatrix constructor, and records keep only
+        the entries."""
         source = FsPath(source)
         try:
             # no newline translation: a payload may hold a raw CR
@@ -552,28 +542,28 @@ class TreeStore:
             if _ENTRIES_RE.match(line) is None:
                 bad = next(f for f in fields[:4] if not _DIGITS_RE.fullmatch(f))
                 raise LoadError(lineno, f"non-integer matrix entry {bad!r}")
-            a, b, c, d = map(from_decimal, fields[:4])
+            key = tuple(map(from_decimal, fields[:4]))
             try:
-                m = MobiusMatrix(a, b, c, d)
+                m = MobiusMatrix(*key)
             except DomainError as e:
                 raise LoadError(lineno, str(e)) from None
-            if m.is_identity:
+            if key == _ROOT_KEY:
                 raise LoadError(lineno, "the identity matrix is not a storable node")
-            key = m.entries()
             if key in records:
                 raise LoadError(lineno, f"duplicate matrix {m}")
             try:
                 payload = unescape_payload(fields[4])
             except ValueError as e:
                 raise LoadError(lineno, str(e)) from None
-            records[key] = store._entry(NodeRecord(m, payload))
+            records[key] = store._entry(NodeRecord(key, payload))
 
         # a second pass: a det +1 parent's first child comes before it;
         # records keep the file's line order
-        for lineno, (_, _, rec) in enumerate(records.values(), start=2):
-            pm, slot = _parent_and_slot(rec.matrix)
-            entry = records.get(pm.entries())
-            if entry is None and not pm.is_identity:
+        for lineno, key in enumerate(records, start=2):
+            pkey, slot = _parent_and_slot(*key)
+            entry = records.get(pkey)
+            if entry is None and pkey != _ROOT_KEY:
+                pm = _unchecked_matrix(*pkey)
                 raise LoadError(lineno, f"orphan record: parent {matrix_to_path(pm)} missing")
             (store._root if entry is None else entry[2])._kids.append(slot)
         # a det -1 parent's slots arrive in descending order

@@ -163,6 +163,14 @@ class TestStoreCommands:
         code, _, err = run(capsys, "ls", store_file, "--node", "8")
         assert code == 4
         assert "no node" in err
+        code, out, _ = run(capsys, "ls", store_file, "--node", "9.9")
+        assert (code, out) == (4, "")
+
+    def test_ls_empty_node_is_the_root(self, store_file, capsys):
+        code, out, _ = run(capsys, "ls", store_file, "--node", "")
+        assert code == 0
+        assert out == run(capsys, "ls", store_file, "--node", "root")[1]
+        assert out == "3\t3/1\tthree\n4\t4/1\tfour\n"
 
     def test_ls_root(self, store_file, capsys):
         code, out, _ = run(capsys, "ls", store_file)
@@ -303,6 +311,11 @@ class TestStoreCommands:
         [
             ("abc", 2),
             ("1.5", 2),
+            # plain ASCII decimal only, though int() would take these
+            ("1_0", 2),
+            ("+5", 2),
+            (" 6", 2),
+            ("\u0663", 2),  # ARABIC-INDIC DIGIT THREE
             ("0", 3),
             ("-5", 3),
             # past CPython's int/str digit limit
@@ -315,8 +328,10 @@ class TestStoreCommands:
             argv = ["add", store_file, "--parent", "4", "--index", index]
         else:
             argv = ["mv", store_file, "--node", "3.12", "--to", "4", "--index", index]
+        before = FsPath(store_file).read_bytes()
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (exit_code, "")
+        assert FsPath(store_file).read_bytes() == before
 
     def test_tree_survives_very_deep_chains(self, tmp_path, capsys):
         from mobiustree import TreeStore

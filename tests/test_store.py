@@ -1,4 +1,5 @@
 import bisect
+import gc
 import itertools
 import os
 import random
@@ -215,6 +216,44 @@ class TestRecordHandles:
         st = chain_store("3.1", "4")
         foreign = chain_store("3.1", "4").resolve("3")
         self.check_missing(st, foreign, op)
+
+
+class TestRecordLayout:
+    """A record holds its matrix's four entries, not a MobiusMatrix;
+    rec.matrix is a read-only view of them."""
+
+    @staticmethod
+    def reachable(obj):
+        """Objects gc.get_referents reaches from obj, not through types."""
+        seen = set()
+        stack = [obj]
+        while stack:
+            for ref in gc.get_referents(stack.pop()):
+                if not isinstance(ref, type) and id(ref) not in seen:
+                    seen.add(id(ref))
+                    stack.append(ref)
+                    yield ref
+
+    def test_records_keep_no_matrix_object(self, tmp_path):
+        st = chain_store("3.12.5.1.21", "4.7")
+        st.add_child("3.12", "new", index=9)
+        st.move_subtree(st.resolve("3.12.5"), "4.7")
+        f = tmp_path / "s.db"
+        st.save(f)
+        for store in (st, TreeStore.load(f)):
+            assert len(store) == 8
+            for rec in store:
+                assert not any(isinstance(o, MobiusMatrix) for o in self.reachable(rec))
+
+    def test_matrix_is_a_read_only_view(self):
+        st = chain_store("3.12.5.1", "4.7")
+        rec = st.resolve("3.12.5.1")
+        with pytest.raises(AttributeError):
+            rec.matrix = path_to_matrix(Path([4, 7]))
+        assert st.resolve("3.12.5.1") is rec
+        st.move_subtree(st.resolve("3.12"), "4.7", index=2)
+        assert rec.matrix == path_to_matrix(Path([4, 7, 2, 5, 1]))
+        assert st.resolve("4.7.2.5.1") is rec
 
 
 class TestMoveSubtree:
@@ -750,7 +789,7 @@ class TestClosureAndIntegrity:
                     st.move_subtree(src, tgt)
                 except (CycleError, OccupiedSlotError, MissingNodeError):
                     pass
-            present = {TreeStore._key(r.matrix) for r in st}
+            present = {r.matrix.entries() for r in st}
             for r in st:
                 p = path_to_matrix(matrix_to_path(r.matrix).components[:-1])
                 assert p.is_identity or p.entries() in present
@@ -759,7 +798,7 @@ class TestClosureAndIntegrity:
         st = chain_store("3.12")
         node = st.resolve("3.12")
         # sabotage: remove the parent record behind the store's back
-        del st._records[TreeStore._key(st.resolve("3").matrix)]
+        del st._records[st.resolve("3").matrix.entries()]
         with pytest.raises(IntegrityError):
             st.ancestors(node)
 
@@ -786,13 +825,14 @@ class TestKeyComputations:
 
     @pytest.fixture
     def keyed(self, monkeypatch):
-        """Matrices passed to the store's key function, in call order."""
+        """Matrix entries passed to the store's key function, in call
+        order."""
         keyed = []
         real = store_module._endpoint_keys
 
-        def counting(m, k):
-            keyed.append(m)
-            return real(m, k)
+        def counting(key, k):
+            keyed.append(key)
+            return real(key, k)
 
         monkeypatch.setattr(store_module, "_endpoint_keys", counting)
         return keyed
@@ -814,13 +854,13 @@ class TestKeyComputations:
         keyed.clear()
         new = st.add_child(target, "new")
         st.descendants(new)
-        assert keyed == [new.matrix]
+        assert keyed == [new.matrix.entries()]
 
         keyed.clear()
         assert st.move_subtree(src, target) > 1
         st.descendants(src)
-        assert sorted(keyed, key=TreeStore._key) == sorted(
-            [src.matrix] + [r.matrix for r in st.descendants(src)], key=TreeStore._key
+        assert sorted(keyed) == sorted(
+            [src.matrix.entries()] + [r.matrix.entries() for r in st.descendants(src)]
         )
 
         keyed.clear()
@@ -833,9 +873,7 @@ class TestKeyComputations:
         st.descendants(deeper)
         assert st._shift > shift
         assert len(keyed) == len(st)  # one full re-key, the new record included
-        assert sorted(keyed, key=TreeStore._key) == sorted(
-            (r.matrix for r in st), key=TreeStore._key
-        )
+        assert sorted(keyed) == sorted(r.matrix.entries() for r in st)
 
         f = tmp_path / "s.db"
         st.save(f)
