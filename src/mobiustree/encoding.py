@@ -496,7 +496,13 @@ def parent(m: MobiusMatrix) -> MobiusMatrix | None:
 
 def _parent_and_slot(a: int, b: int, c: int, d: int) -> tuple[tuple[int, int, int, int], int]:
     """The step of parent() on the entries of a non-identity matrix: the
-    parent's entries and the last path component."""
+    parent's entries and the last path component.  When a - b < b the
+    last component is 1 and c >= d leaves nothing to fix, so the step is
+    two subtractions; the one path ending in 1 that fails the test is
+    1.1 (a = 2b), which the division handles."""
+    r = a - b
+    if r < b:
+        return (b, r, d, c - d), 1
     q = a // b
     dp = c - q * d
     if dp < 0:
@@ -507,6 +513,8 @@ def _parent_and_slot(a: int, b: int, c: int, d: int) -> tuple[tuple[int, int, in
 
 def _child_entries(a: int, b: int, c: int, d: int, n: int) -> tuple[int, int, int, int]:
     """The step of child(): the entries of [[a,b],[c,d]] * [[n,1],[1,0]]."""
+    if n == 1:
+        return a + b, a, c + d, c
     return n * a + b, a, n * c + d, c
 
 

@@ -30,12 +30,17 @@ def euclid_quotients_raw(a, b):
     """Quotient sequence of Euclid on (a, b) plus the final gcd.
 
     Assumes a >= b >= 1.  Returns (quotients, gcd); the caller decides
-    whether a non-unit gcd is an error.
+    whether a non-unit gcd is an error.  A quotient of 1 (a < 2b) is
+    taken by one subtraction, with no division.
     """
     out = []
     while b:
-        q, r = divmod(a, b)
-        out.append(q)
+        r = a - b
+        if r < b:
+            out.append(1)
+        else:
+            q, r = divmod(a, b)
+            out.append(q)
         a, b = b, r
     return out, a
 
@@ -49,7 +54,10 @@ def cf_eval_raw(components):
     """
     num, den = 1, 0
     for q in reversed(components):
-        num, den = q * num + den, num
+        if q == 1:
+            num, den = num + den, num
+        else:
+            num, den = q * num + den, num
     return num, den
 
 
@@ -57,11 +65,16 @@ def path_to_matrix_raw(components):
     """Left-to-right product of primitive factors [[q,1],[1,0]].
 
     The empty product is the identity.  Assumes integer components >= 1.
+    A component 1 multiplies by additions alone.
     """
     a, b, c, d = 1, 0, 0, 1
     for q in components:
-        a, b = a * q + b, a
-        c, d = c * q + d, c
+        if q == 1:
+            a, b = a + b, a
+            c, d = c + d, c
+        else:
+            a, b = a * q + b, a
+            c, d = c * q + d, c
     return a, b, c, d
 
 
@@ -73,10 +86,18 @@ def matrix_to_path_raw(a, b, c, d):
     MobiusMatrix constructor accepts.  The quotient is
     min(floor(a/c), floor(b/d)) (floor(a/c) when d = 0), the only choice
     that keeps the remainder a path matrix; a/c and b/d differ by
-    1/(c*d), so the min is floor(a/c) or one less.
+    1/(c*d), so the min is floor(a/c) or one less.  When a - c < c the
+    quotient is 1 with no fix-up, since b >= d: that step is two
+    subtractions.  The one 1 that fails the test, the first of a
+    trailing 1.1 (a = 2c), goes through the division.
     """
     out = []
     while c:
+        r = a - c
+        if r < c:
+            a, b, c, d = c, d, r, b - d
+            out.append(1)
+            continue
         q = a // c
         if b - q * d < 0:
             q -= 1

@@ -36,6 +36,19 @@ def cf_value(components):
     return acc
 
 
+def cf_quotients(x):
+    """Canonical continued-fraction quotients of a Fraction x >= 1, by
+    repeated floor and reciprocal."""
+    out = []
+    while True:
+        q = x.numerator // x.denominator
+        out.append(q)
+        x -= q
+        if x == 0:
+            return out
+        x = 1 / x
+
+
 def fib(n):
     """Fibonacci with fib(1) = fib(2) = 1."""
     a, b = 0, 1

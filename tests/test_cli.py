@@ -8,6 +8,7 @@ import pytest
 from mobiustree.cli import main
 
 SRC = FsPath(__file__).resolve().parent.parent / "src"
+GOLDEN_DIR = FsPath(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -394,6 +395,59 @@ class TestStoreCommands:
             slot, _, payload = line.split("\t")
             assert slot == "  " * (len(p) - 1) + str(p[-1])
             assert paths[int(payload)] == p
+
+
+CHAIN_DEPTH = 300
+ONES = ".".join(["1"] * CHAIN_DEPTH)
+
+
+def save_chain_store(filename):
+    """A CHAIN_DEPTH-deep first-child chain with one side leaf per level:
+    under each chain node (and the root), slot 1 continues the chain
+    with payload c<depth> and slot 2 is a leaf with payload s<depth>."""
+    from mobiustree import TreeStore
+
+    st = TreeStore()
+    ref = "root"
+    for depth in range(1, CHAIN_DEPTH + 1):
+        nxt = st.add_child(ref, f"c{depth}", index=1)
+        st.add_child(ref, f"s{depth}", index=2)
+        ref = nxt
+    st.save(filename)
+
+
+def deep_chain_golden_cases(filename):
+    """(golden file, argv) of every deep-chain golden; filename must
+    hold save_chain_store's store.  The all-ones path is the Fibonacci
+    worst case of key size, and every step on it has quotient 1."""
+    from oracles import fib, primitive_product
+
+    a, b, c, d = primitive_product((1,) * CHAIN_DEPTH)
+    assert a * d - b * c == 1  # even depth: closed low endpoint
+    return [
+        ("encode_path_ones300.txt", ["encode", "--path", ONES]),
+        ("encode_ratio_ones300.txt", ["encode", "--ratio", f"{fib(CHAIN_DEPTH + 1)}/{fib(CHAIN_DEPTH)}"]),
+        ("decode_ones300.txt", ["decode", "--interval", f"[{a + b}/{c + d}, {a}/{c})"]),
+        ("ancestors_chain300.txt", ["ancestors", filename, "--node", ONES]),
+        ("descendants_chain300.txt", ["descendants", filename, "--node", "1"]),
+        ("tree_chain300.txt", ["tree", filename]),
+    ]
+
+
+def test_deep_chain_golden_outputs(tmp_path, capsys):
+    """Byte-exact output on a 300-deep all-ones path and chain store;
+    the goldens were written by the long-division steps, before the
+    quotient-1 fast path."""
+    f = str(tmp_path / "chain.db")
+    save_chain_store(f)
+    for golden_name, argv in deep_chain_golden_cases(f):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, golden_name
+        assert out == (GOLDEN_DIR / golden_name).read_text(), f"{golden_name} mismatch"
+    # the label's canonical path folds the trailing 1 into a 2
+    want_path = ".".join(["1"] * (CHAIN_DEPTH - 2) + ["2"])
+    text = (GOLDEN_DIR / "encode_ratio_ones300.txt").read_text()
+    assert text.startswith(f"path: {want_path}\n")
 
 
 def test_exit_codes_of_a_real_process(tmp_path):

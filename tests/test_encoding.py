@@ -1,9 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from mobiustree import kernels
 from mobiustree.exactmath import DomainError, INFINITY, Ratio
 from mobiustree.encoding import (
     MobiusMatrix,
@@ -26,9 +28,18 @@ from mobiustree.encoding import (
     ratio_to_matrix,
     ratio_to_path,
     relative,
+    _child_entries,
+    _parent_and_slot,
 )
 
-from oracles import cf_value, is_proper_prefix, mat_mul4, primitive_product, random_paths
+from oracles import (
+    cf_quotients,
+    cf_value,
+    is_proper_prefix,
+    mat_mul4,
+    primitive_product,
+    random_paths,
+)
 
 paths = st.lists(st.integers(1, 30), max_size=12).map(tuple)
 wide_paths = st.lists(st.integers(1, 10**6), max_size=10).map(tuple)
@@ -555,3 +566,72 @@ class TestTrustedDerivations:
     def test_parse_still_rejects_zero_components(self, text):
         with pytest.raises(DomainError):
             Path.parse(text)
+
+
+# paths weighted toward component 1: all-ones runs (rarely up to 1500
+# deep, where every continued-fraction step has quotient 1) between single
+# components that are 1, small, or up to 2**70
+_ones_run = st.one_of(st.integers(1, 12), st.integers(1, 1500)).map(lambda n: (1,) * n)
+_component = st.one_of(st.just(1), st.integers(2, 5), st.integers(1, 2**70)).map(lambda q: (q,))
+one_heavy_paths = st.tuples(
+    st.booleans(),  # force a leading 1
+    st.lists(st.one_of(_ones_run, _component), max_size=6),
+    st.booleans(),  # force a trailing 1 (a non-canonical path)
+).map(lambda t: (1,) * t[0] + sum(t[1], ()) + (1,) * t[2])
+
+
+def _one_heavy_examples(f):
+    # fixed cases: both determinant signs of the longest all-ones run,
+    # a leading and a trailing 1 next to a 2**70 component, and (2,) and
+    # (1, 1), the two paths whose matrices have a == 2b, at the edge of
+    # the r < b test
+    for comps in [
+        (1,) * 1500,
+        (1,) * 1499,
+        (1,),
+        (2,),
+        (1, 1),
+        (3, 2),
+        (2, 1),
+        (1, 2**70),
+        (2**70, 1),
+        (1, 2**70, 1, 1, 1),
+        (7, 1, 1, 2**70 - 1, 1),
+    ]:
+        f = example(comps)(f)
+    return f
+
+
+class TestQuotientOneSteps:
+    """Each continued-fraction step takes quotient 1 by subtraction alone;
+    the oracles are primitive products and Fraction arithmetic."""
+
+    @_one_heavy_examples
+    @settings(deadline=None)
+    @given(one_heavy_paths)
+    def test_parent_and_child_steps(self, comps):
+        m = primitive_product(comps)
+        if comps:
+            assert _parent_and_slot(*m) == (primitive_product(comps[:-1]), comps[-1])
+        for n in (1, 2, comps[-1] if comps else 3):
+            assert _child_entries(*m, n) == primitive_product(comps + (n,))
+
+    @_one_heavy_examples
+    @settings(deadline=None)
+    @given(one_heavy_paths)
+    def test_path_matrix_round_trip(self, comps):
+        m = kernels.path_to_matrix_raw(comps)
+        assert m == primitive_product(comps)
+        assert kernels.matrix_to_path_raw(*m) == list(comps)
+
+    @_one_heavy_examples
+    @settings(deadline=None)
+    @given(one_heavy_paths.filter(bool))
+    def test_label_and_its_quotients(self, comps):
+        v = cf_value(comps)
+        num, den = kernels.cf_eval_raw(comps)
+        assert (num, den) == (v.numerator, v.denominator)
+        quotients, g = kernels.euclid_quotients_raw(num, den)
+        assert g == 1
+        assert quotients == cf_quotients(v)
+        assert Fraction(num, den) == cf_value(quotients)
