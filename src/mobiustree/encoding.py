@@ -26,7 +26,6 @@ from .exactmath import (
     Ratio,
     _unchecked_ratio,
     euclid_quotients,
-    ext_gcd,
     from_decimal,
     to_decimal,
 )
@@ -409,25 +408,15 @@ def ratio_to_path(r: Ratio) -> Path:
 
 
 def ratio_to_matrix(r: Ratio) -> MobiusMatrix:
-    """Canonical matrix of a node label, via the extended Euclidean
-    algorithm rather than rebuilding the primitive product.
+    """Canonical matrix of a node label: path_to_matrix(ratio_to_path(r)),
+    the primitive product of the Euclid quotients, one chain.
 
-    With a = r.num and c = r.den, the second column (b, d) is the unique
+    With a = r.num and c = r.den, its second column (b, d) is the unique
     pair with 0 <= d < c (or d = 0, b = 1 when c = 1) and
-    a*d - b*c = (-1)**len(canonical path); of the two Bezout-derived
-    candidates, that sign picks the one equal to
-    path_to_matrix(ratio_to_path(r)).
+    a*d - b*c = (-1)**len(canonical path).
     """
     _check_label(r)
-    a, c = r.num, r.den
-    sign = -1 if len(euclid_quotients(a, c)) % 2 else 1
-    _, x, _ = ext_gcd(a, c)
-    if c == 1:
-        # depth-1 node: primitive factor [[a,1],[1,0]]
-        return MobiusMatrix(a, 1, 1, 0)
-    d = (x * sign) % c
-    b = (a * d - sign) // c
-    return MobiusMatrix(a, b, c, d)
+    return _unchecked_matrix(*kernels.path_to_matrix_raw(euclid_quotients(r.num, r.den)))
 
 
 def matrix_to_interval(m: MobiusMatrix) -> NestedInterval:

@@ -152,23 +152,27 @@ def unescape_payload(text: str) -> str:
     return _ESCAPE_RE.sub(_unescape_one, text)
 
 
-def _endpoint_keys(key: tuple[int, int, int, int], k: int) -> tuple[int, int]:
-    """floor(lo * 2**k), floor(hi * 2**k) for the endpoints a/c and
-    (a+b)/(c+d) of a non-identity matrix's entries, where c >= 1."""
+def _low_key(key: tuple[int, int, int, int], k: int) -> int:
+    """2 * floor(lo * 2**k), plus 1 if lo is closed, for the low
+    endpoint of a non-identity matrix's entries, where c >= 1.
+
+    det -1 is (a/c, (a+b)/(c+d)], det +1 is [(a+b)/(c+d), a/c).  Tree
+    intervals are nested or disjoint, and the only two that share a low
+    endpoint are a det +1 node, closed there, and its slot-1 child,
+    open there and nested inside it: so the key alone gives the (low,
+    high) order, and no two records share it."""
     a, b, c, d = key
-    open_key = (a << k) // c
-    closed_key = ((a + b) << k) // (c + d)
-    # det -1 is (a/c, (a+b)/(c+d)]
-    if _det_sign(a, b, c, d) == -1:
-        return open_key, closed_key
-    return closed_key, open_key
+    if _det_sign(a, b, c, d) == 1:
+        return (((a + b) << k) // (c + d)) << 1 | 1
+    return ((a << k) // c) << 1
 
 
 def _shift_for(den: int) -> int:
     """The shift k of exact integer keys floor(r * 2**k) for endpoints
     with denominators up to den: distinct endpoints p/q != r/s differ by
-    at least 1/(q*s) > 2**-k, so the floors keep the (lo, hi) order and
-    ties.  c + d is the larger of a node's two endpoint denominators."""
+    at least 1/(q*s) > 2**-k, so the floors keep their order and ties.
+    c + d is the larger of a node's two endpoint denominators, so one
+    shift serves its low key and the high endpoint descendants computes."""
     return 2 * den.bit_length() + 2
 
 
@@ -176,20 +180,21 @@ class TreeStore:
     """In-memory tree of NodeRecords with exact interval indexing."""
 
     def __init__(self):
-        # record._key -> index entry (lo_key, hi_key, record), where a
-        # key is the endpoint scaled by 2**_shift and floored (see
-        # _endpoint_keys).  A record's keys are computed once, when it
-        # gets its entries.  _shift only grows: a record that needs a
-        # wider one makes every key stale (left 0 until _ensure_index
-        # re-keys the whole store at the widest record's shift).
-        self._records: dict[tuple[int, int, int, int], tuple[int, int, NodeRecord]] = {}
+        # record._key -> index entry (low_key, record), where the key is
+        # the low endpoint scaled by 2**_shift and floored, doubled, plus
+        # its closed bit (see _low_key).  A record's key is computed
+        # once, when it gets its entries.  _shift only grows: a record
+        # that needs a wider one makes every key stale (left 0 until
+        # _ensure_index re-keys the whole store at the widest record's
+        # shift).
+        self._records: dict[tuple[int, int, int, int], tuple[int, NodeRecord]] = {}
         self._shift = 0
         self._stale = False
         # holds the root's child slots as a record does; never in _records
         self._root = NodeRecord(_ROOT_KEY, "")
         # the entries of _records sorted by key; re-sorted lazily after
         # any mutation
-        self._index: list[tuple[int, int, NodeRecord]] | None = None
+        self._index: list[tuple[int, NodeRecord]] | None = None
 
     # -- plumbing ---------------------------------------------------------
 
@@ -199,7 +204,7 @@ class TreeStore:
         if parent is None or (isinstance(parent, str) and parent == ROOT):
             return self._root
         if isinstance(parent, NodeRecord):
-            return self._require(parent)[2]
+            return self._require(parent)[1]
         if isinstance(parent, str):
             parent = Path.parse(parent)
         if isinstance(parent, Path):
@@ -212,13 +217,13 @@ class TreeStore:
         entry = self._records.get(key)
         if entry is None:
             raise MissingNodeError(f"no node at {matrix_to_path(parent)}")
-        return entry[2]
+        return entry[1]
 
-    def _require(self, record: NodeRecord) -> tuple[int, int, NodeRecord]:
-        """The record's index entry; its keys are current only after
+    def _require(self, record: NodeRecord) -> tuple[int, NodeRecord]:
+        """The record's index entry; its key is current only after
         _ensure_index."""
         entry = self._records.get(record._key)
-        if entry is None or entry[2] is not record:
+        if entry is None or entry[1] is not record:
             raise MissingNodeError("record is not in this store")
         return entry
 
@@ -226,17 +231,17 @@ class TreeStore:
         """parent's children in the given slots, in that order: child n
         is keyed by the child step n of parent's entries."""
         key = parent._key
-        return [self._records[_child_entries(*key, n)][2] for n in slots]
+        return [self._records[_child_entries(*key, n)][1] for n in slots]
 
-    def _entry(self, record: NodeRecord) -> tuple[int, int, NodeRecord]:
+    def _entry(self, record: NodeRecord) -> tuple[int, NodeRecord]:
         """A new index entry for a record that just got its entries."""
         key = record._key
         if not self._stale and _shift_for(key[2] + key[3]) <= self._shift:
-            return (*_endpoint_keys(key, self._shift), record)
+            return _low_key(key, self._shift), record
         # wider than every record so far, or the keys are stale already:
         # _ensure_index widens the shift and re-keys all
         self._stale = True
-        return (0, 0, record)
+        return 0, record
 
     def _detach(self, node: NodeRecord, base: tuple | None = None) -> list[NodeRecord]:
         """Take node's subtree out of the store and return its records,
@@ -255,14 +260,14 @@ class TreeStore:
         own."""
         records = self._records
         pkey, slot = _parent_and_slot(*node._key)
-        siblings = (self._root if pkey == _ROOT_KEY else records[pkey][2])._kids
+        siblings = (self._root if pkey == _ROOT_KEY else records[pkey][1])._kids
         del siblings[bisect.bisect_left(siblings, slot)]
         out = []
         # (old key, new key, det of the new one)
         stack = [(node._key, base, _det_sign(*(base or node._key)))]
         while stack:
             key, new, det = stack.pop()
-            rec = records.pop(key)[2]
+            rec = records.pop(key)[1]
             out.append(rec)
             if new is not None:
                 rec._key = new
@@ -298,7 +303,9 @@ class TreeStore:
             )
         return index
 
-    def _ensure_index(self) -> list[tuple[int, int, NodeRecord]]:
+    def _ensure_index(self) -> list[tuple[int, NodeRecord]]:
+        """The entries of _records sorted by low key, which is the order
+        by interval low then high endpoint."""
         if self._index is None:
             records = self._records
             if self._stale:
@@ -309,10 +316,11 @@ class TreeStore:
                 # every entry first, then swapped in: the new entries lie
                 # together in memory, and no second dict is built (each
                 # key is present, so the update does not resize the dict)
-                entries = [(*_endpoint_keys(key, k), r) for key, (_, _, r) in records.items()]
+                entries = [(_low_key(key, k), r) for key, (_, r) in records.items()]
                 records.update(zip(records, entries))
                 self._stale = False
-            # no two nodes share both endpoints, so records never compare
+            # no two records share a key (see _low_key), so records
+            # never compare
             self._index = sorted(records.values())
         return self._index
 
@@ -322,7 +330,7 @@ class TreeStore:
         return len(self._records)
 
     def __iter__(self) -> Iterable[NodeRecord]:
-        return (rec for _, _, rec in self._records.values())
+        return (rec for _, rec in self._records.values())
 
     def resolve(self, path: Path | str) -> NodeRecord:
         """Record at a path; raises MissingNodeError."""
@@ -331,11 +339,11 @@ class TreeStore:
         entry = self._records.get(path_to_matrix(path).entries())
         if entry is None:
             raise MissingNodeError(f"no node at {path}")
-        return entry[2]
+        return entry[1]
 
     def all_nodes(self) -> list[NodeRecord]:
         """Every record, ordered by interval low then high endpoint."""
-        return [rec for _, _, rec in self._ensure_index()]
+        return [rec for _, rec in self._ensure_index()]
 
     def children(self, parent: ParentRef = ROOT) -> list[NodeRecord]:
         """Immediate children of a node (or of the root), ordered by
@@ -357,22 +365,23 @@ class TreeStore:
         Tree intervals are nested or disjoint, so a record whose low
         endpoint lies strictly inside the node's interval is a
         descendant, and one whose low endpoint is the node's high
-        endpoint is not.  Records sharing the node's low endpoint are
-        its ancestors, itself and its descendants, ordered by high
-        endpoint; only those that end below the node's high endpoint
-        are descendants.
+        endpoint is not.  The one other record that shares the node's
+        low endpoint is a det +1 node's slot-1 child, open there: it
+        sorts right before the node and comes first.  The node's high
+        endpoint is computed here, at the index's shift.
         """
+        self._require(node)
         idx = self._ensure_index()
-        lo, hi, _ = self._require(node)
-        # probe (key,) sorts before every full entry with that low key
-        i = bisect.bisect_left(idx, (lo,))
-        j = bisect.bisect_left(idx, (hi,), i)
-        out = []
-        while i < j and idx[i][0] == lo:
-            if idx[i][1] < hi:
-                out.append(idx[i][2])
-            i += 1
-        out += [rec for _, _, rec in idx[i:j]]
+        low = self._records[node._key][0]
+        a, b, c, d = node._key
+        k = self._shift
+        # the closed bit is det +1: [(a+b)/(c+d), a/c), else (a/c, (a+b)/(c+d)]
+        hi = (a << k) // c if low & 1 else ((a + b) << k) // (c + d)
+        # probe (key,) sorts before every full entry with that key
+        i = bisect.bisect_left(idx, ((low | 1) + 1,))
+        j = bisect.bisect_left(idx, (hi << 1,), i)
+        out = [idx[i - 2][1]] if low & 1 and node._kids[:1] == [1] else []
+        out += [rec for _, rec in idx[i:j]]
         return out
 
     def ancestors(self, node: NodeRecord) -> list[NodeRecord]:
@@ -391,7 +400,7 @@ class TreeStore:
                 raise IntegrityError(
                     f"ancestor {matrix_to_path(pm)} of {matrix_to_path(node.matrix)} is missing"
                 )
-            chain.append(entry[2])
+            chain.append(entry[1])
         chain.reverse()
         return chain
 
@@ -468,7 +477,7 @@ class TreeStore:
             entries.sort()
         records = self._records
         for entry in entries:
-            records[entry[2]._key] = entry
+            records[entry[1]._key] = entry
         bisect.insort(parent._kids, slot)
         return len(moved)
 
@@ -483,7 +492,7 @@ class TreeStore:
         an empty or partial one."""
         destination = FsPath(destination)
         lines = [FILE_HEADER]
-        for _, _, rec in self._ensure_index():
+        for _, rec in self._ensure_index():
             lines.append("\t".join([*map(to_decimal, rec._key), escape_payload(rec.payload)]))
         data = ("\n".join(lines) + "\n").encode()
         directory = destination.parent
@@ -565,7 +574,7 @@ class TreeStore:
             if entry is None and pkey != _ROOT_KEY:
                 pm = _unchecked_matrix(*pkey)
                 raise LoadError(lineno, f"orphan record: parent {matrix_to_path(pm)} missing")
-            (store._root if entry is None else entry[2])._kids.append(slot)
+            (store._root if entry is None else entry[1])._kids.append(slot)
         # a det -1 parent's slots arrive in descending order
         for rec in (store._root, *store):
             rec._kids.sort()

@@ -4,6 +4,7 @@ Each test prints one line, "criterion N (<name>): PASS|FAIL", and
 enforces its runtime budget.  Run with -s (or -rA) to see the lines.
 """
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -244,6 +245,11 @@ def test_criterion_8_scale_smoke(tmp_path):
 
         f = tmp_path / "big.db"
         store.save(f)
+        # the saved bytes are pinned: an index or key change must not
+        # change the file's line order
+        assert hashlib.sha256(f.read_bytes()).hexdigest() == (
+            "fd126ae8c48ddb10f9f9a9d901ee5d86620359cce2494acd3f0e449c3e8470ae"
+        )
         loaded = TreeStore.load(f)
         assert len(loaded) == 100_000
 

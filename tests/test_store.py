@@ -679,6 +679,54 @@ class TestIndexOrderOracle:
         assert want == [(3,), (3, 2, 1), (3, 2), (3, 2, 1, 5)]
 
 
+class TestSharedLowEndpoints:
+    """The fact the index key rests on, checked with Fraction endpoints."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(strategies.sampled_from(["forest", "chains", "moves"]), strategies.integers(0, 2**32))
+    def test_low_endpoint_and_closed_bit_give_the_order(self, shape, seed):
+        """Two stored records share a low endpoint only as a det +1 node,
+        closed there, and its slot-1 child, open there, so sorting by
+        (low endpoint, closed) is sorting by (low, high)."""
+        rng = random.Random(seed)
+        if shape == "chains":
+            # first-child chains, with an occasional slot-2 step
+            spines = [
+                [rng.randint(1, 9)] + [rng.choice([1, 1, 1, 2]) for _ in range(60)]
+                for _ in range(rng.randint(1, 4))
+            ]
+            st = chain_store(*(".".join(map(str, p)) for p in spines))
+        else:
+            st = build_store_from_paths(TreeStore, random_forest(rng, rng.randint(1, 200)))
+        if shape == "moves":
+            for _ in range(20):
+                recs = list(st)
+                try:
+                    st.move_subtree(
+                        rng.choice(recs), rng.choice(recs + ["root"]), index=rng.choice([None, 1, 2])
+                    )
+                except (CycleError, OccupiedSlotError):
+                    pass
+        rows = []
+        for rec in st:
+            a, b, c, d = m = rec.matrix.entries()
+            lo, hi = oracle_interval(m)
+            # the value at x = 1, (a+b)/(c+d), is the attained endpoint
+            rows.append((lo, lo == Fraction(a + b, c + d), hi, m))
+        by_low = {}
+        for row in rows:
+            by_low.setdefault(row[0], []).append(row)
+        for group in by_low.values():
+            assert len(group) <= 2
+            if len(group) == 2:
+                (_, closed1, _, child), (_, closed2, _, node) = sorted(group)
+                a, b, c, d = node
+                assert (closed1, closed2) == (False, True)
+                assert a * d - b * c == 1
+                assert child == mat_mul4(node, primitive_product((1,)))
+        assert sorted(rows, key=lambda r: r[:2]) == sorted(rows, key=lambda r: (r[0], r[2]))
+
+
 class TestDescendantsSliceOracle(TestIndexOrderOracle):
     """Every store of the index-order oracle again, now also checking
     descendants() of every node: the path-prefix block of the
@@ -828,13 +876,13 @@ class TestKeyComputations:
         """Matrix entries passed to the store's key function, in call
         order."""
         keyed = []
-        real = store_module._endpoint_keys
+        real = store_module._low_key
 
         def counting(key, k):
             keyed.append(key)
             return real(key, k)
 
-        monkeypatch.setattr(store_module, "_endpoint_keys", counting)
+        monkeypatch.setattr(store_module, "_low_key", counting)
         return keyed
 
     def test_keys_per_mutation(self, keyed, tmp_path):
@@ -994,6 +1042,19 @@ class TestSubtreeWalk:
         monkeypatch.setattr(TreeStore, "_ensure_index", counting)
         return calls
 
+    def test_stale_handle_raises_before_any_index_build(self, index_calls):
+        st = build_store_from_paths(TreeStore, random_forest(random.Random(61), 200))
+        stale = st.resolve("1")
+        st.all_nodes()
+        st.delete_subtree(stale)
+        st.add_child("root", "new", index=2**300)  # the keys are stale too
+        foreign = TreeStore().add_child("root", "x")
+        index_calls.clear()
+        for handle in (stale, foreign):
+            with pytest.raises(MissingNodeError):
+                st.descendants(handle)
+        assert index_calls == []
+
     def test_moves_and_deletes_build_no_index(self, index_calls, tmp_path):
         paths = random_forest(random.Random(53), 300)
         st = build_store_from_paths(TreeStore, paths)
@@ -1099,7 +1160,8 @@ class TestSubtreeWalk:
                 if kind in ("insert", "wide") or not existing:
                     parent = rng.choice([()] + existing)
                     top = max(taken(parent), default=0)
-                    slot = top + rng.randint(1, 3) if kind == "insert" else 2 ** rng.randint(64, 400)
+                    # above every taken slot: two wide draws may pick one power
+                    slot = top + (rng.randint(1, 3) if kind == "insert" else 2 ** rng.randint(64, 400))
                     payload = f"n{next(names)}"
                     st.add_child(ref(parent), payload, index=slot)
                     path_of[payload] = parent + (slot,)
