@@ -2,12 +2,14 @@
 
 Payload-bearing nodes are keyed by the four entries of their matrix,
 and each record holds that same entry tuple; its matrix is a view built
-on demand.  Descendant queries run as range scans over an index ordered
-by exact interval endpoints, ancestor queries are parent steps on the
-entries, inserts never touch existing keys.  Each record keeps its own
-occupied child slots, so a subtree is walked down through them, one
-child step per record, and deleting or relocating it needs no index (a
-move gives each record the child step of its parent's new entries).
+on demand.  The index is the records themselves, sorted by a key each
+holds that orders them by exact interval endpoints, and a descendant
+query returns one slice of it; a mutation only marks the index
+unsorted.  Ancestor queries are parent steps on the entries, inserts
+never touch existing keys.  Each record keeps its own occupied child
+slots, so a subtree is walked down through them, one child step per
+record, and deleting or relocating it needs no index (a move gives each
+record the child step of its parent's new entries).
 
 Persistence format ("mobius-tree v1"): a header line, then one record
 per line as a<TAB>b<TAB>c<TAB>d<TAB>payload with the matrix entries in
@@ -27,6 +29,7 @@ import re
 import stat
 import tempfile
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path as FsPath
 from typing import Iterable, Union
 
@@ -102,15 +105,17 @@ class NodeRecord:
     matrix's entries, the tuple that keys the store's _records; matrix
     is a read-only view of it.  move_subtree re-keys records in place,
     so handles stay valid.  _kids holds the node's occupied child slots,
-    ascending (empty for a leaf).
+    ascending (empty for a leaf).  _low is the record's sort key in the
+    store's index (see _low_key), or 0 while the store's keys are stale.
     """
 
-    __slots__ = ("_key", "payload", "_kids")
+    __slots__ = ("_key", "payload", "_kids", "_low")
 
-    def __init__(self, key: tuple[int, int, int, int], payload: str):
+    def __init__(self, key: tuple[int, int, int, int], payload: str, low: int = 0):
         self._key = key
         self.payload = payload
         self._kids: list[int] = []
+        self._low = low
 
     @property
     def matrix(self) -> MobiusMatrix:
@@ -176,25 +181,32 @@ def _shift_for(den: int) -> int:
     return 2 * den.bit_length() + 2
 
 
+_LOW = attrgetter("_low")
+
+
 class TreeStore:
     """In-memory tree of NodeRecords with exact interval indexing."""
 
     def __init__(self):
-        # record._key -> index entry (low_key, record), where the key is
-        # the low endpoint scaled by 2**_shift and floored, doubled, plus
-        # its closed bit (see _low_key).  A record's key is computed
-        # once, when it gets its entries.  _shift only grows: a record
-        # that needs a wider one makes every key stale (left 0 until
-        # _ensure_index re-keys the whole store at the widest record's
-        # shift).
-        self._records: dict[tuple[int, int, int, int], tuple[int, NodeRecord]] = {}
+        # record._key -> record.  Each record's _low is its low endpoint
+        # scaled by 2**_shift and floored, doubled, plus its closed bit
+        # (see _low_key), computed once, when it gets its entries.
+        # _shift only grows: a record that needs a wider one makes every
+        # key stale (left 0 until _ensure_index re-keys the whole store
+        # at the widest record's shift).
+        self._records: dict[tuple[int, int, int, int], NodeRecord] = {}
         self._shift = 0
         self._stale = False
         # holds the root's child slots as a record does; never in _records
         self._root = NodeRecord(_ROOT_KEY, "")
-        # the entries of _records sorted by key; re-sorted lazily after
-        # any mutation
-        self._index: list[tuple[int, NodeRecord]] | None = None
+        # the records sorted by _low, re-sorted by the first query after
+        # a mutation.  A mutation only sets _unsorted: releasing the list
+        # would decref every record, a whole-store pass behind one
+        # mutation.  Until that query (or a save), the old list keeps
+        # removed records alive, bounded by the store's size at its
+        # last query.
+        self._index: list[NodeRecord] = []
+        self._unsorted = True
 
     # -- plumbing ---------------------------------------------------------
 
@@ -204,7 +216,7 @@ class TreeStore:
         if parent is None or (isinstance(parent, str) and parent == ROOT):
             return self._root
         if isinstance(parent, NodeRecord):
-            return self._require(parent)[1]
+            return self._require(parent)
         if isinstance(parent, str):
             parent = Path.parse(parent)
         if isinstance(parent, Path):
@@ -214,34 +226,32 @@ class TreeStore:
         key = parent.entries()
         if key == _ROOT_KEY:
             return self._root
-        entry = self._records.get(key)
-        if entry is None:
+        rec = self._records.get(key)
+        if rec is None:
             raise MissingNodeError(f"no node at {matrix_to_path(parent)}")
-        return entry[1]
+        return rec
 
-    def _require(self, record: NodeRecord) -> tuple[int, NodeRecord]:
-        """The record's index entry; its key is current only after
-        _ensure_index."""
-        entry = self._records.get(record._key)
-        if entry is None or entry[1] is not record:
+    def _require(self, record: NodeRecord) -> NodeRecord:
+        """The record, if it is this store's own and present; its _low is
+        current only after _ensure_index."""
+        if self._records.get(record._key) is not record:
             raise MissingNodeError("record is not in this store")
-        return entry
+        return record
 
     def _records_at(self, parent: NodeRecord, slots: Iterable[int]) -> list[NodeRecord]:
         """parent's children in the given slots, in that order: child n
         is keyed by the child step n of parent's entries."""
         key = parent._key
-        return [self._records[_child_entries(*key, n)][1] for n in slots]
+        return [self._records[_child_entries(*key, n)] for n in slots]
 
-    def _entry(self, record: NodeRecord) -> tuple[int, NodeRecord]:
-        """A new index entry for a record that just got its entries."""
-        key = record._key
+    def _low_for(self, key: tuple[int, int, int, int]) -> int:
+        """The _low of a record that just got these entries."""
         if not self._stale and _shift_for(key[2] + key[3]) <= self._shift:
-            return _low_key(key, self._shift), record
+            return _low_key(key, self._shift)
         # wider than every record so far, or the keys are stale already:
         # _ensure_index widens the shift and re-keys all
         self._stale = True
-        return 0, record
+        return 0
 
     def _detach(self, node: NodeRecord, base: tuple | None = None) -> list[NodeRecord]:
         """Take node's subtree out of the store and return its records,
@@ -260,14 +270,14 @@ class TreeStore:
         own."""
         records = self._records
         pkey, slot = _parent_and_slot(*node._key)
-        siblings = (self._root if pkey == _ROOT_KEY else records[pkey][1])._kids
+        siblings = (self._root if pkey == _ROOT_KEY else records[pkey])._kids
         del siblings[bisect.bisect_left(siblings, slot)]
         out = []
         # (old key, new key, det of the new one)
         stack = [(node._key, base, _det_sign(*(base or node._key)))]
         while stack:
             key, new, det = stack.pop()
-            rec = records.pop(key)[1]
+            rec = records.pop(key)
             out.append(rec)
             if new is not None:
                 rec._key = new
@@ -276,7 +286,7 @@ class TreeStore:
                 stack.append(
                     (_child_entries(*key, n), None if new is None else _child_entries(*new, n), -det)
                 )
-        self._index = None
+        self._unsorted = True
         return out
 
     def _choose_slot(
@@ -303,25 +313,22 @@ class TreeStore:
             )
         return index
 
-    def _ensure_index(self) -> list[tuple[int, NodeRecord]]:
-        """The entries of _records sorted by low key, which is the order
-        by interval low then high endpoint."""
-        if self._index is None:
+    def _ensure_index(self) -> list[NodeRecord]:
+        """The records sorted by _low, which is the order by interval low
+        then high endpoint.  After a mutation the list is replaced by a
+        new one, never changed in place."""
+        if self._unsorted:
             records = self._records
             if self._stale:
                 # the record that made the keys stale may be gone again,
                 # so the shift is never lowered below its old value
                 max_den = max((c + d for _, _, c, d in records), default=0)
                 k = self._shift = max(self._shift, _shift_for(max_den))
-                # every entry first, then swapped in: the new entries lie
-                # together in memory, and no second dict is built (each
-                # key is present, so the update does not resize the dict)
-                entries = [(_low_key(key, k), r) for key, (_, r) in records.items()]
-                records.update(zip(records, entries))
+                for rec in records.values():
+                    rec._low = _low_key(rec._key, k)
                 self._stale = False
-            # no two records share a key (see _low_key), so records
-            # never compare
-            self._index = sorted(records.values())
+            self._index = sorted(records.values(), key=_LOW)
+            self._unsorted = False
         return self._index
 
     # -- queries ----------------------------------------------------------
@@ -330,20 +337,20 @@ class TreeStore:
         return len(self._records)
 
     def __iter__(self) -> Iterable[NodeRecord]:
-        return (rec for _, rec in self._records.values())
+        return iter(self._records.values())
 
     def resolve(self, path: Path | str) -> NodeRecord:
         """Record at a path; raises MissingNodeError."""
         if isinstance(path, str):
             path = Path.parse(path)
-        entry = self._records.get(path_to_matrix(path).entries())
-        if entry is None:
+        rec = self._records.get(path_to_matrix(path).entries())
+        if rec is None:
             raise MissingNodeError(f"no node at {path}")
-        return entry[1]
+        return rec
 
     def all_nodes(self) -> list[NodeRecord]:
         """Every record, ordered by interval low then high endpoint."""
-        return [rec for _, rec in self._ensure_index()]
+        return self._ensure_index().copy()
 
     def children(self, parent: ParentRef = ROOT) -> list[NodeRecord]:
         """Immediate children of a node (or of the root), ordered by
@@ -359,30 +366,29 @@ class TreeStore:
 
     def descendants(self, node: NodeRecord) -> list[NodeRecord]:
         """All records whose interval nests strictly inside the node's,
-        as one slice of the ordered index; ordered by interval low
-        endpoint.
+        as one slice of the index, which is the records themselves in
+        interval order; ordered by interval low endpoint.
 
         Tree intervals are nested or disjoint, so a record whose low
         endpoint lies strictly inside the node's interval is a
         descendant, and one whose low endpoint is the node's high
         endpoint is not.  The one other record that shares the node's
         low endpoint is a det +1 node's slot-1 child, open there: it
-        sorts right before the node and comes first.  The node's high
-        endpoint is computed here, at the index's shift.
+        sorts two places before the slice and comes first.  The node's
+        high endpoint is computed here, at the index's shift.
         """
         self._require(node)
         idx = self._ensure_index()
-        low = self._records[node._key][0]
+        low = node._low
         a, b, c, d = node._key
         k = self._shift
         # the closed bit is det +1: [(a+b)/(c+d), a/c), else (a/c, (a+b)/(c+d)]
         hi = (a << k) // c if low & 1 else ((a + b) << k) // (c + d)
-        # probe (key,) sorts before every full entry with that key
-        i = bisect.bisect_left(idx, ((low | 1) + 1,))
-        j = bisect.bisect_left(idx, (hi << 1,), i)
-        out = [idx[i - 2][1]] if low & 1 and node._kids[:1] == [1] else []
-        out += [rec for _, rec in idx[i:j]]
-        return out
+        i = bisect.bisect_left(idx, (low | 1) + 1, key=_LOW)
+        j = bisect.bisect_left(idx, hi << 1, i, key=_LOW)
+        if low & 1 and node._kids[:1] == [1]:
+            return [idx[i - 2], *idx[i:j]]
+        return idx[i:j]
 
     def ancestors(self, node: NodeRecord) -> list[NodeRecord]:
         """Ancestor chain by parent steps on the entries alone (no index
@@ -394,13 +400,13 @@ class TreeStore:
             key = _parent_and_slot(*key)[0]
             if key == _ROOT_KEY:
                 break
-            entry = self._records.get(key)
-            if entry is None:
+            rec = self._records.get(key)
+            if rec is None:
                 pm = _unchecked_matrix(*key)
                 raise IntegrityError(
                     f"ancestor {matrix_to_path(pm)} of {matrix_to_path(node.matrix)} is missing"
                 )
-            chain.append(entry[1])
+            chain.append(rec)
         chain.reverse()
         return chain
 
@@ -439,10 +445,10 @@ class TreeStore:
             raise DomainError("payload cannot be encoded as UTF-8") from None
         parent = self._resolve_parent_ref(parent)
         slot = self._choose_slot(parent, index)
-        rec = NodeRecord(_child_entries(*parent._key, slot), payload)
-        self._records[rec._key] = self._entry(rec)
+        key = _child_entries(*parent._key, slot)
+        rec = self._records[key] = NodeRecord(key, payload, self._low_for(key))
         bisect.insort(parent._kids, slot)
-        self._index = None
+        self._unsorted = True
         return rec
 
     def delete_subtree(self, node: NodeRecord) -> int:
@@ -471,13 +477,12 @@ class TreeStore:
         # the whole subtree leaves before any record returns, so a move
         # into src's own vacated slot finds its old keys gone
         moved = self._detach(src, _child_entries(*parent._key, slot))
-        entries = [self._entry(rec) for rec in moved]
+        for rec in moved:
+            rec._low = self._low_for(rec._key)
         if not self._stale:
-            # keep the moved entries one sorted run for the index sort
-            entries.sort()
-        records = self._records
-        for entry in entries:
-            records[entry[1]._key] = entry
+            # keep the moved records one sorted run for the index sort
+            moved.sort(key=_LOW)
+        self._records.update((rec._key, rec) for rec in moved)
         bisect.insort(parent._kids, slot)
         return len(moved)
 
@@ -492,7 +497,7 @@ class TreeStore:
         an empty or partial one."""
         destination = FsPath(destination)
         lines = [FILE_HEADER]
-        for _, rec in self._ensure_index():
+        for rec in self._ensure_index():
             lines.append("\t".join([*map(to_decimal, rec._key), escape_payload(rec.payload)]))
         data = ("\n".join(lines) + "\n").encode()
         directory = destination.parent
@@ -564,17 +569,17 @@ class TreeStore:
                 payload = unescape_payload(fields[4])
             except ValueError as e:
                 raise LoadError(lineno, str(e)) from None
-            records[key] = store._entry(NodeRecord(key, payload))
+            records[key] = NodeRecord(key, payload, store._low_for(key))
 
         # a second pass: a det +1 parent's first child comes before it;
         # records keep the file's line order
         for lineno, key in enumerate(records, start=2):
             pkey, slot = _parent_and_slot(*key)
-            entry = records.get(pkey)
-            if entry is None and pkey != _ROOT_KEY:
+            parent = records.get(pkey)
+            if parent is None and pkey != _ROOT_KEY:
                 pm = _unchecked_matrix(*pkey)
                 raise LoadError(lineno, f"orphan record: parent {matrix_to_path(pm)} missing")
-            (store._root if entry is None else entry[1])._kids.append(slot)
+            (store._root if parent is None else parent)._kids.append(slot)
         # a det -1 parent's slots arrive in descending order
         for rec in (store._root, *store):
             rec._kids.sort()

@@ -174,6 +174,26 @@ class TestResolveAndQueries:
         top = st.children()
         assert {str(matrix_to_path(r.matrix)) for r in top} == {"3", "4"}
 
+    def test_results_belong_to_the_caller(self):
+        """Emptying or growing a returned list changes no later answer:
+        no query hands out the index itself."""
+        st = chain_store("3.2.1.5", "3.4", "5")
+        queries = {
+            "all_nodes": st.all_nodes,
+            "children of the root": st.children,
+            "children": lambda: st.children("3"),
+            "descendants": lambda: st.descendants(st.resolve("3")),
+            # det +1 with a slot-1 child, which comes first
+            "descendants of 3.2": lambda: st.descendants(st.resolve("3.2")),
+        }
+        want = {name: [r.payload for r in query()] for name, query in queries.items()}
+        assert want["descendants of 3.2"] == ["3.2.1", "3.2.1.5"]
+        extra = st.resolve("5")
+        for query in queries.values():
+            query().clear()
+            query().append(extra)
+            assert {name: [r.payload for r in q()] for name, q in queries.items()} == want
+
 
 class TestRecordHandles:
     """A NodeRecord reference is resolved by identity: a record that was
@@ -254,6 +274,45 @@ class TestRecordLayout:
         st.move_subtree(st.resolve("3.12"), "4.7", index=2)
         assert rec.matrix == path_to_matrix(Path([4, 7, 2, 5, 1]))
         assert st.resolve("4.7.2.5.1") is rec
+
+    def test_two_tracked_objects_per_record(self):
+        """The garbage collector tracks each record and its child-slot
+        list, and nothing else per record: the index is the records
+        themselves, with no entry object around each."""
+        paths = random_forest(random.Random(7), 5000)
+        gc.collect()
+        before = len(gc.get_objects())
+        st = build_store_from_paths(TreeStore, paths)
+        st.all_nodes()
+        gc.collect()
+        assert len(gc.get_objects()) - before <= 2 * len(st) + 100
+
+    def test_removed_records_are_released_by_the_next_query(self):
+        """A mutation leaves the index list as it is, so that list keeps
+        removed records alive until the next query sorts a new one; no
+        operation finds them in the meantime."""
+        st = build_store_from_paths(TreeStore, random_forest(random.Random(67), 200))
+        node = max(st.children(), key=lambda r: len(st.descendants(r)))
+        removed = [node, *st.descendants(node)]
+        assert st.delete_subtree(node) == len(removed) > 1
+        held = {id(o) for o in self.reachable(st)}
+        assert all(id(r) in held for r in removed)
+        other = st.children()[0]
+        for op in (
+            lambda h: st.descendants(h),
+            lambda h: st.ancestors(h),
+            lambda h: st.children(h),
+            lambda h: st.add_child(h, "x"),
+            lambda h: st.move_subtree(h, "root"),
+            lambda h: st.move_subtree(other, h),
+            lambda h: st.delete_subtree(h),
+        ):
+            for handle in (node, removed[-1]):
+                with pytest.raises(MissingNodeError):
+                    op(handle)
+        assert len(st.all_nodes()) == len(st) == 200 - len(removed)
+        held = {id(o) for o in self.reachable(st)}
+        assert not any(id(r) in held for r in removed)
 
 
 class TestMoveSubtree:
