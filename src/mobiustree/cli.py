@@ -186,8 +186,15 @@ def _cmd_tree(args, out) -> int:
 
 def _cmd_ancestors(args, out) -> int:
     store = TreeStore.load(args.file)
+    # each path is the one printed before it plus the record's slot, so
+    # no line decodes a path from scratch; det +-1 puts a/c in lowest
+    # terms, as Ratio would print it
+    path = ""
     for rec in store.ancestors(store.resolve(args.node)):
-        print(_record_line(rec), file=out)
+        m = rec.matrix
+        slot = to_decimal(_parent_and_slot(*m.entries())[1])
+        path = f"{path}.{slot}" if path else slot
+        print(f"{path}\t{to_decimal(m.a)}/{to_decimal(m.c)}\t{escape_payload(rec.payload)}", file=out)
     return 0
 
 

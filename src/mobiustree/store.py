@@ -5,11 +5,13 @@ and each record holds that same entry tuple; its matrix is a view built
 on demand.  The index is the records themselves, sorted by a key each
 holds that orders them by exact interval endpoints, and a descendant
 query returns one slice of it; a mutation only marks the index
-unsorted.  Ancestor queries are parent steps on the entries, inserts
-never touch existing keys.  Each record keeps its own occupied child
-slots, so a subtree is walked down through them, one child step per
-record, and deleting or relocating it needs no index (a move gives each
-record the child step of its parent's new entries).
+unsorted.  Each record holds a reference to its parent record, set
+where the parent is already in hand (insert, load's closure pass, a
+move's subtree root), so an ancestor query follows references with no
+arithmetic; inserts never touch existing keys.  Each record keeps its
+own occupied child slots, so a subtree is walked down through them, one
+child step per record, and deleting or relocating it needs no index (a
+move gives each record the child step of its parent's new entries).
 
 Persistence format ("mobius-tree v1"): a header line, then one record
 per line as a<TAB>b<TAB>c<TAB>d<TAB>payload with the matrix entries in
@@ -87,7 +89,9 @@ class CycleError(StoreError):
 
 
 class IntegrityError(StoreError):
-    pass
+    """Kept as a public name; the store no longer raises it.  Ancestor
+    queries follow parent references, which no public call can leave
+    pointing at a missing record."""
 
 
 class LoadError(StoreError):
@@ -105,16 +109,26 @@ class NodeRecord:
     matrix's entries, the tuple that keys the store's _records; matrix
     is a read-only view of it.  move_subtree re-keys records in place,
     so handles stay valid.  _kids holds the node's occupied child slots,
-    ascending (empty for a leaf).  _low is the record's sort key in the
-    store's index (see _low_key), or 0 while the store's keys are stale.
+    ascending (empty for a leaf).  _parent is the parent record, or the
+    store's _root sentinel for a top-level node (None on the sentinel);
+    references point from child to parent only, so they form no cycles.
+    _low is the record's sort key in the store's index (see _low_key),
+    or 0 while the store's keys are stale.
     """
 
-    __slots__ = ("_key", "payload", "_kids", "_low")
+    __slots__ = ("_key", "payload", "_kids", "_parent", "_low")
 
-    def __init__(self, key: tuple[int, int, int, int], payload: str, low: int = 0):
+    def __init__(
+        self,
+        key: tuple[int, int, int, int],
+        payload: str,
+        parent: NodeRecord | None = None,
+        low: int = 0,
+    ):
         self._key = key
         self.payload = payload
         self._kids: list[int] = []
+        self._parent = parent
         self._low = low
 
     @property
@@ -197,7 +211,8 @@ class TreeStore:
         self._records: dict[tuple[int, int, int, int], NodeRecord] = {}
         self._shift = 0
         self._stale = False
-        # holds the root's child slots as a record does; never in _records
+        # holds the root's child slots as a record does, and is the
+        # _parent of every top-level record; never in _records
         self._root = NodeRecord(_ROOT_KEY, "")
         # the records sorted by _low, re-sorted by the first query after
         # a mutation.  A mutation only sets _unsorted: releasing the list
@@ -269,9 +284,8 @@ class TreeStore:
         slot is dropped from its parent's list; every record keeps its
         own."""
         records = self._records
-        pkey, slot = _parent_and_slot(*node._key)
-        siblings = (self._root if pkey == _ROOT_KEY else records[pkey])._kids
-        del siblings[bisect.bisect_left(siblings, slot)]
+        siblings = node._parent._kids
+        del siblings[bisect.bisect_left(siblings, _parent_and_slot(*node._key)[1])]
         out = []
         # (old key, new key, det of the new one)
         stack = [(node._key, base, _det_sign(*(base or node._key)))]
@@ -391,22 +405,16 @@ class TreeStore:
         return idx[i:j]
 
     def ancestors(self, node: NodeRecord) -> list[NodeRecord]:
-        """Ancestor chain by parent steps on the entries alone (no index
-        scan), root side first, root excluded."""
+        """Ancestor chain, root side first, root excluded: the records'
+        parent references followed up to the root, one attribute read
+        per level, with no arithmetic and no index or dict lookup."""
         self._require(node)
         chain = []
-        key = node._key
-        while True:
-            key = _parent_and_slot(*key)[0]
-            if key == _ROOT_KEY:
-                break
-            rec = self._records.get(key)
-            if rec is None:
-                pm = _unchecked_matrix(*key)
-                raise IntegrityError(
-                    f"ancestor {matrix_to_path(pm)} of {matrix_to_path(node.matrix)} is missing"
-                )
+        root = self._root
+        rec = node._parent
+        while rec is not root:
             chain.append(rec)
+            rec = rec._parent
         chain.reverse()
         return chain
 
@@ -446,7 +454,7 @@ class TreeStore:
         parent = self._resolve_parent_ref(parent)
         slot = self._choose_slot(parent, index)
         key = _child_entries(*parent._key, slot)
-        rec = self._records[key] = NodeRecord(key, payload, self._low_for(key))
+        rec = self._records[key] = NodeRecord(key, payload, parent, self._low_for(key))
         bisect.insort(parent._kids, slot)
         self._unsorted = True
         return rec
@@ -464,19 +472,20 @@ class TreeStore:
         Each subtree record keeps its path fragment relative to src: src
         takes child(new_parent, n), and every record below it child(m,
         k) of its parent's new matrix m for the slot k it held, one
-        child step per record.  Each record keeps its child slots,
-        and only src's own slot changes.  Payloads are untouched;
-        returns the number of re-keyed records.
+        child step per record.  Each record keeps its child slots and
+        its parent reference, and only src's own slot and parent change.
+        Payloads are untouched; returns the number of re-keyed records.
         """
         self._require(src)
         parent = self._resolve_parent_ref(new_parent)
         if parent is src or is_ancestor(src.matrix, parent.matrix):
             raise CycleError("cannot move a subtree under itself")
-        old_parent, old_slot = _parent_and_slot(*src._key)
-        slot = self._choose_slot(parent, index, old_slot if old_parent == parent._key else None)
+        vacating = _parent_and_slot(*src._key)[1] if src._parent is parent else None
+        slot = self._choose_slot(parent, index, vacating)
         # the whole subtree leaves before any record returns, so a move
         # into src's own vacated slot finds its old keys gone
         moved = self._detach(src, _child_entries(*parent._key, slot))
+        src._parent = parent
         for rec in moved:
             rec._low = self._low_for(rec._key)
         if not self._stale:
@@ -569,17 +578,18 @@ class TreeStore:
                 payload = unescape_payload(fields[4])
             except ValueError as e:
                 raise LoadError(lineno, str(e)) from None
-            records[key] = NodeRecord(key, payload, store._low_for(key))
+            records[key] = NodeRecord(key, payload, low=store._low_for(key))
 
         # a second pass: a det +1 parent's first child comes before it;
         # records keep the file's line order
-        for lineno, key in enumerate(records, start=2):
+        for lineno, (key, rec) in enumerate(records.items(), start=2):
             pkey, slot = _parent_and_slot(*key)
-            parent = records.get(pkey)
-            if parent is None and pkey != _ROOT_KEY:
+            parent = store._root if pkey == _ROOT_KEY else records.get(pkey)
+            if parent is None:
                 pm = _unchecked_matrix(*pkey)
                 raise LoadError(lineno, f"orphan record: parent {matrix_to_path(pm)} missing")
-            (store._root if parent is None else parent)._kids.append(slot)
+            rec._parent = parent
+            parent._kids.append(slot)
         # a det -1 parent's slots arrive in descending order
         for rec in (store._root, *store):
             rec._kids.sort()

@@ -15,7 +15,6 @@ from mobiustree.exactmath import DomainError, Ratio
 from mobiustree.encoding import MobiusMatrix, Path, matrix_to_path, path_to_matrix, relative
 from mobiustree.store import (
     CycleError,
-    IntegrityError,
     LoadError,
     MissingNodeError,
     OccupiedSlotError,
@@ -901,13 +900,89 @@ class TestClosureAndIntegrity:
                 p = path_to_matrix(matrix_to_path(r.matrix).components[:-1])
                 assert p.is_identity or p.entries() in present
 
-    def test_integrity_error_when_ancestor_vanishes(self):
-        st = chain_store("3.12")
-        node = st.resolve("3.12")
-        # sabotage: remove the parent record behind the store's back
-        del st._records[st.resolve("3").matrix.entries()]
-        with pytest.raises(IntegrityError):
-            st.ancestors(node)
+    @staticmethod
+    def check_parents(st, path_of):
+        """Every record's parent reference is the record at its parent's
+        entries (the _root sentinel at the top), and its ancestors are
+        the records at its path's proper prefixes, root side first."""
+        payload_at = {p: k for k, p in path_of.items()}
+        at = {primitive_product(p): k for k, p in path_of.items()}
+        assert sorted(r.payload for r in st) == sorted(path_of)
+        for rec in st:
+            path = path_of[rec.payload]
+            assert at[rec.matrix.entries()] == rec.payload
+            if len(path) == 1:
+                assert rec._parent is st._root
+            else:
+                assert rec._parent is st._records[primitive_product(path[:-1])]
+            want = [payload_at[path[:i]] for i in range(1, len(path))]
+            assert [r.payload for r in st.ancestors(rec)] == want
+
+    def test_parent_references_match_the_model(self, tmp_path):
+        """Adds with explicit and automatic slots, moves (into the
+        node's own vacated slot and under its own parent included),
+        deletes and save/load, each checked against a path-tuple model."""
+        for seed in (3, 29, 71):
+            self.run_mutations(random.Random(seed), tmp_path)
+
+    def run_mutations(self, rng, tmp_path):
+        names = itertools.count()
+        path_of = {f"n{next(names)}": p for p in random_forest(rng, 40)}
+        st = TreeStore()
+        for payload, p in sorted(path_of.items(), key=lambda item: len(item[1])):
+            st.add_child(".".join(map(str, p[:-1])) or "root", payload, index=p[-1])
+
+        def ref(path):
+            return ".".join(map(str, path)) or "root"
+
+        def auto_slot(parent, moving=None):
+            taken = [p[-1] for p in path_of.values() if p[:-1] == parent and p != moving]
+            return max(taken, default=0) + 1
+
+        kinds = ["add", "add-auto", "move", "move-auto", "move-home", "move-sibling"]
+        kinds += ["delete", "reload"]
+        for _ in range(120):
+            self.check_parents(st, path_of)
+            kind = rng.choice(kinds)
+            existing = sorted(path_of.values())
+            if kind.startswith("add") or not existing:
+                parent, payload = rng.choice([()] + existing), f"n{next(names)}"
+                if kind == "add":
+                    slot = auto_slot(parent) + rng.randrange(3)
+                    st.add_child(ref(parent), payload, index=slot)
+                else:
+                    slot = auto_slot(parent)
+                    st.add_child(ref(parent), payload)
+                path_of[payload] = parent + (slot,)
+            elif kind.startswith("move"):
+                src = rng.choice(existing)
+                if kind == "move-home":  # into its own vacated slot
+                    parent, index, slot = src[:-1], src[-1], src[-1]
+                elif kind == "move-sibling":  # under its own parent, automatic slot
+                    parent, index = src[:-1], None
+                    slot = auto_slot(parent, moving=src)
+                else:
+                    parent = rng.choice([()] + [p for p in existing if p[: len(src)] != src])
+                    slot = auto_slot(parent, moving=src)
+                    if kind == "move-auto":
+                        index = None
+                    else:
+                        index = slot = slot + rng.randrange(3)
+                moved = [k for k, p in path_of.items() if p[: len(src)] == src]
+                assert st.move_subtree(st.resolve(ref(src)), ref(parent), index=index) == len(moved)
+                for k in moved:
+                    path_of[k] = parent + (slot,) + path_of[k][len(src):]
+            elif kind == "delete":
+                src = rng.choice(existing)
+                doomed = [k for k, p in path_of.items() if p[: len(src)] == src]
+                assert st.delete_subtree(st.resolve(ref(src))) == len(doomed)
+                for k in doomed:
+                    del path_of[k]
+            else:
+                f = tmp_path / "s.db"
+                st.save(f)
+                st = TreeStore.load(f)
+        self.check_parents(st, path_of)
 
 
 class TestDescendantsOracle:
