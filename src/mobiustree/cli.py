@@ -106,9 +106,16 @@ def _print_node_report(m: MobiusMatrix, out) -> None:
     print(f"determinant: {m.det}", file=out)
 
 
-def _record_line(rec: NodeRecord) -> str:
+def _record_line(path: str, rec: NodeRecord) -> str:
+    """path, label and escaped payload, tab-separated.  det +-1 puts a/c
+    in lowest terms, so the label is printed as Ratio would print it,
+    with no gcd."""
     m = rec.matrix
-    return f"{matrix_to_path(m)}\t{Ratio(m.a, m.c)}\t{escape_payload(rec.payload)}"
+    return f"{path}\t{to_decimal(m.a)}/{to_decimal(m.c)}\t{escape_payload(rec.payload)}"
+
+
+def _slot_of(rec: NodeRecord) -> str:
+    return to_decimal(_parent_and_slot(*rec.matrix.entries())[1])
 
 
 def _cmd_encode(args, out) -> int:
@@ -143,7 +150,7 @@ def _cmd_add(args, out) -> int:
     store = TreeStore.load(args.file)
     rec = store.add_child(args.parent, args.payload, index=args.index)
     store.save(args.file)
-    print(_record_line(rec), file=out)
+    print(_record_line(str(matrix_to_path(rec.matrix)), rec), file=out)
     return 0
 
 
@@ -166,8 +173,11 @@ def _cmd_rm(args, out) -> int:
 
 def _cmd_ls(args, out) -> int:
     store = TreeStore.load(args.file)
-    for rec in store.children(args.node):
-        print(_record_line(rec), file=out)
+    path = Path.parse(args.node)
+    # each child's path is the node's plus its slot
+    prefix = f"{path}." if path else ""
+    for rec in store.children(path):
+        print(_record_line(prefix + _slot_of(rec), rec), file=out)
     return 0
 
 
@@ -177,9 +187,7 @@ def _cmd_tree(args, out) -> int:
     stack = [(rec, 0) for rec in reversed(store.children(ROOT))]
     while stack:
         rec, level = stack.pop()
-        m = rec.matrix
-        slot = _parent_and_slot(*m.entries())[1]
-        print(f"{'  ' * level}{to_decimal(slot)}\t{Ratio(m.a, m.c)}\t{escape_payload(rec.payload)}", file=out)
+        print(_record_line("  " * level + _slot_of(rec), rec), file=out)
         stack.extend((kid, level + 1) for kid in reversed(store.children(rec)))
     return 0
 
@@ -187,21 +195,31 @@ def _cmd_tree(args, out) -> int:
 def _cmd_ancestors(args, out) -> int:
     store = TreeStore.load(args.file)
     # each path is the one printed before it plus the record's slot, so
-    # no line decodes a path from scratch; det +-1 puts a/c in lowest
-    # terms, as Ratio would print it
+    # no line decodes a path from scratch
     path = ""
     for rec in store.ancestors(store.resolve(args.node)):
-        m = rec.matrix
-        slot = to_decimal(_parent_and_slot(*m.entries())[1])
+        slot = _slot_of(rec)
         path = f"{path}.{slot}" if path else slot
-        print(f"{path}\t{to_decimal(m.a)}/{to_decimal(m.c)}\t{escape_payload(rec.payload)}", file=out)
+        print(_record_line(path, rec), file=out)
     return 0
 
 
 def _cmd_descendants(args, out) -> int:
     store = TreeStore.load(args.file)
-    for rec in store.descendants(store.resolve(args.node)):
-        print(_record_line(rec), file=out)
+    path = Path.parse(args.node)
+    node = store.resolve(path)
+    # each record's path is its parent's plus its slot, filled in by
+    # walking the child slots down from the node, as tree does; the
+    # lines follow the descendant slice's order
+    path_of = {node: str(path)}
+    stack = [node]
+    while stack:
+        rec = stack.pop()
+        for kid in store.children(rec):
+            path_of[kid] = f"{path_of[rec]}.{_slot_of(kid)}"
+            stack.append(kid)
+    for rec in store.descendants(node):
+        print(_record_line(path_of[rec], rec), file=out)
     return 0
 
 

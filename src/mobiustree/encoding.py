@@ -84,16 +84,7 @@ class Path:
     def parse(cls, text: str) -> "Path":
         """Parse dotted decimal form, e.g. "3.12.5.1.21"; "" or "root"
         is the empty path."""
-        text = text.strip()
-        if text in ("", "root"):
-            return cls()
-        if _PATH_RE.match(text) is None:
-            raise DomainError(f"invalid path text: {text!r}")
-        comps = tuple(map(from_decimal, text.split(".")))
-        # digits alone spell no negative component, so 0 is the only bad one
-        if 0 in comps:
-            raise DomainError("path component 0 is < 1")
-        return _unchecked_path(comps)
+        return _unchecked_path(_path_components(text))
 
     @property
     def is_root(self) -> bool:
@@ -362,6 +353,25 @@ def _unchecked_interval(lo: Ratio, hi: Ratio, closed_end: str) -> NestedInterval
     _set_hi(iv, hi)
     _set_closed_end(iv, closed_end)
     return iv
+
+
+def _path_components(text: str) -> tuple[int, ...]:
+    """The components of dotted decimal path text, as Path.parse reads
+    them, with no Path built; () for "" or "root"."""
+    text = text.strip()
+    if text in ("", "root"):
+        return ()
+    if _PATH_RE.match(text) is None:
+        raise DomainError(f"invalid path text: {text!r}")
+    parts = text.split(".")
+    try:
+        comps = tuple(map(int, parts))
+    except ValueError:  # a component past the int/str digit limit
+        comps = tuple(map(from_decimal, parts))
+    # digits alone spell no negative component, so 0 is the only bad one
+    if 0 in comps:
+        raise DomainError("path component 0 is < 1")
+    return comps
 
 
 def _as_components(p) -> tuple[int, ...]:

@@ -35,17 +35,20 @@ from operator import attrgetter
 from pathlib import Path as FsPath
 from typing import Iterable, Union
 
+from . import kernels
 from .exactmath import DomainError, from_decimal, to_decimal
 from .encoding import (
     MobiusMatrix,
     Path,
+    _as_components,
     _child_entries,
     _det_sign,
     _parent_and_slot,
+    _path_components,
     _unchecked_matrix,
+    _unchecked_path,
     is_ancestor,
     matrix_to_path,
-    path_to_matrix,
 )
 
 __all__ = [
@@ -197,6 +200,10 @@ def _shift_for(den: int) -> int:
 
 _LOW = attrgetter("_low")
 
+# descendants() looks for a subtree's end among this many index entries
+# past its start before it bisects the rest of the index
+_END_WINDOW = 16
+
 
 class TreeStore:
     """In-memory tree of NodeRecords with exact interval indexing."""
@@ -233,17 +240,18 @@ class TreeStore:
         if isinstance(parent, NodeRecord):
             return self._require(parent)
         if isinstance(parent, str):
-            parent = Path.parse(parent)
-        if isinstance(parent, Path):
-            parent = path_to_matrix(parent)
-        elif not isinstance(parent, MobiusMatrix):
+            key = kernels.path_to_matrix_raw(_path_components(parent))
+        elif isinstance(parent, Path):
+            key = kernels.path_to_matrix_raw(parent.components)
+        elif isinstance(parent, MobiusMatrix):
+            key = parent.entries()
+        else:
             raise TypeError(f"bad parent reference: {parent!r}")
-        key = parent.entries()
         if key == _ROOT_KEY:
             return self._root
         rec = self._records.get(key)
         if rec is None:
-            raise MissingNodeError(f"no node at {matrix_to_path(parent)}")
+            raise MissingNodeError(f"no node at {matrix_to_path(_unchecked_matrix(*key))}")
         return rec
 
     def _require(self, record: NodeRecord) -> NodeRecord:
@@ -355,11 +363,10 @@ class TreeStore:
 
     def resolve(self, path: Path | str) -> NodeRecord:
         """Record at a path; raises MissingNodeError."""
-        if isinstance(path, str):
-            path = Path.parse(path)
-        rec = self._records.get(path_to_matrix(path).entries())
+        comps = _path_components(path) if isinstance(path, str) else _as_components(path)
+        rec = self._records.get(kernels.path_to_matrix_raw(comps))
         if rec is None:
-            raise MissingNodeError(f"no node at {path}")
+            raise MissingNodeError(f"no node at {_unchecked_path(comps)}")
         return rec
 
     def all_nodes(self) -> list[NodeRecord]:
@@ -390,17 +397,38 @@ class TreeStore:
         low endpoint is a det +1 node's slot-1 child, open there: it
         sorts two places before the slice and comes first.  The node's
         high endpoint is computed here, at the index's shift.
+
+        One bisect finds the slice start i, the first record past both
+        records that can share the node's low endpoint.  It also proves
+        the node present: the sorted index holds only present records,
+        and a present node sits at i - 1, or at i - 2 when it is the
+        slot-1 child of a det +1 parent, which sorts after it.  While
+        the index is unsorted the dict is probed instead, so a stale
+        handle raises before any sort.  A leaf's slice is empty, by
+        parent closure.  Otherwise the end is found within the
+        _END_WINDOW records after i, where most subtrees end, or by a
+        bisect past them: one probe at i + _END_WINDOW picks the side.
         """
-        self._require(node)
+        if self._unsorted:
+            self._require(node)
         idx = self._ensure_index()
         low = node._low
+        i = bisect.bisect_left(idx, (low | 1) + 1, key=_LOW)
+        if not (i > 0 and idx[i - 1] is node or i > 1 and idx[i - 2] is node):
+            raise MissingNodeError("record is not in this store")
+        kids = node._kids
+        if not kids:
+            return []
         a, b, c, d = node._key
         k = self._shift
         # the closed bit is det +1: [(a+b)/(c+d), a/c), else (a/c, (a+b)/(c+d)]
-        hi = (a << k) // c if low & 1 else ((a + b) << k) // (c + d)
-        i = bisect.bisect_left(idx, (low | 1) + 1, key=_LOW)
-        j = bisect.bisect_left(idx, hi << 1, i, key=_LOW)
-        if low & 1 and node._kids[:1] == [1]:
+        end = ((a << k) // c if low & 1 else ((a + b) << k) // (c + d)) << 1
+        p = i + _END_WINDOW
+        if p < len(idx) and idx[p]._low < end:
+            j = bisect.bisect_left(idx, end, p + 1, key=_LOW)
+        else:
+            j = bisect.bisect_left(idx, end, i, min(p, len(idx)), key=_LOW)
+        if low & 1 and kids[0] == 1:
             return [idx[i - 2], *idx[i:j]]
         return idx[i:j]
 

@@ -397,6 +397,21 @@ class TestStoreCommands:
             assert paths[int(payload)] == p
 
 
+# (golden file, command, arguments after the store file) on store_file's
+# store, the one CI builds as g.db for the installed console script
+STORE_GOLDEN_CASES = [
+    ("ls_root.txt", "ls", []),
+    ("descendants_3.txt", "descendants", ["--node", "3"]),
+]
+
+
+def test_store_golden_outputs(store_file, capsys):
+    for golden_name, command, argv in STORE_GOLDEN_CASES:
+        code, out, _ = run(capsys, command, store_file, *argv)
+        assert code == 0, golden_name
+        assert out == (GOLDEN_DIR / golden_name).read_text(), f"{golden_name} mismatch"
+
+
 CHAIN_DEPTH = 300
 ONES = ".".join(["1"] * CHAIN_DEPTH)
 

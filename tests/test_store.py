@@ -4,6 +4,7 @@ import itertools
 import os
 import random
 import stat
+import sys
 from fractions import Fraction
 from pathlib import Path as FsPath
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies
 
 from mobiustree import store as store_module
-from mobiustree.exactmath import DomainError, Ratio
+from mobiustree.exactmath import DomainError, Ratio, to_decimal
 from mobiustree.encoding import MobiusMatrix, Path, matrix_to_path, path_to_matrix, relative
 from mobiustree.store import (
     CycleError,
@@ -114,6 +115,25 @@ class TestResolveAndQueries:
         assert st.resolve(Path([3, 12])).payload == "3.12"
         with pytest.raises(MissingNodeError):
             st.resolve("9.9")
+
+    def test_path_text_past_the_int_str_limit(self):
+        """A component past CPython's int/str digit limit, between small
+        ones, parses, resolves and takes a child like any other."""
+        big = 7 * 10 ** (sys.int_info.default_max_str_digits + 699) + 9
+        text = f"3.{to_decimal(big)}.2"
+        assert Path.parse(text).components == (3, big, 2)
+        st = TreeStore()
+        mid = st.add_child(st.add_child("root", "3", index=3), "big", index=big)
+        node = st.add_child(mid, "node", index=2)
+        assert st.resolve(text) is st.resolve(Path.parse(text)) is node
+        assert st.resolve(text.rpartition(".")[0]) is mid
+        kid = st.add_child(text, "kid")
+        assert kid.matrix.entries() == primitive_product((3, big, 2, 1))
+        assert st.children(text) == [kid]
+        with pytest.raises(MissingNodeError, match=f"no node at 3.{to_decimal(big)}.5$"):
+            st.resolve(f"3.{to_decimal(big)}.5")
+        with pytest.raises(MissingNodeError, match=f"no node at 3.{to_decimal(big)}.5$"):
+            st.add_child(f"3.{to_decimal(big)}.5", "orphan")
 
     def test_descendants_contains_deep_node(self):
         st = chain_store("3.12.5.1.21", "4.7")
@@ -812,6 +832,109 @@ class TestDescendantsSliceOracle(TestIndexOrderOracle):
         store = chain_store("1.1.1.1.1.1.1.1", "3.1.1.1", "3.2.1.5", "3.2.1.1.1", "2.1.1.2")
         path_of = {rec.payload: tuple(map(int, rec.payload.split("."))) for rec in store}
         self.check(store, tmp_path, path_of)
+
+
+class TestDescendantsEndSearch:
+    """descendants() finds a subtree's end among the W index entries
+    past its start, or by a bisect past them, and checks the node by
+    its position in the sorted index: subtrees on either side of W, with
+    and without entries after them, against the slice oracle."""
+
+    W = store_module._END_WINDOW
+
+    @staticmethod
+    def slice_length(store, node):
+        """j - i: a det +1 node's slot-1 child sorts before the slice."""
+        slots = [matrix_to_path(r.matrix)[-1] for r in store.children(node)]
+        return len(store.descendants(node)) - (node.matrix.det == 1 and 1 in slots)
+
+    @staticmethod
+    def subtree(shape, size):
+        if shape == "forest":
+            return random_forest(random.Random(size), size)
+        if shape == "chain":
+            return [(1,) * n for n in range(1, size + 1)]
+        return [(n,) for n in range(2, size + 2)]  # a fan with slot 1 free
+
+    def test_subtree_sizes_around_the_window(self, tmp_path):
+        covered = set()
+        for node in [(3,), (3, 2)]:  # det -1, det +1
+            for tail in (True, False):
+                for shape in ("forest", "chain", "fan"):
+                    for size in range(2 * self.W + 2):
+                        paths = {(1,), (1, 1), (1, 2), *(node[:n] for n in range(1, len(node) + 1))}
+                        paths |= {node + p for p in self.subtree(shape, size)}
+                        if tail:  # entries after the subtree, past the probe
+                            paths |= {(4,) + p for p in random_forest(random.Random(1), self.W + 2)}
+                            paths.add((4,))
+                        store = build_store_from_paths(TreeStore, paths)
+                        TestDescendantsSliceOracle.check(store, tmp_path, TestIndexOrderOracle.dotted(paths))
+                        rec = store.resolve(".".join(map(str, node)))
+                        covered.add((len(node), tail, self.slice_length(store, rec)))
+        for depth in (1, 2):
+            for tail in (True, False):
+                # the end at i + W and on both sides of it
+                assert {(depth, tail, n) for n in range(2 * self.W + 2)} <= covered
+
+    def test_det_plus_one_node_whose_only_child_is_slot_one(self, tmp_path):
+        paths = {(3,), (3, 2), (3, 2, 1), (3, 1), (4,)} | {(4, n) for n in range(1, 2 * self.W)}
+        store = build_store_from_paths(TreeStore, paths)
+        TestDescendantsSliceOracle.check(store, tmp_path, TestIndexOrderOracle.dotted(paths))
+        node = store.resolve("3.2")
+        assert node.matrix.det == 1
+        assert [r.payload for r in store.descendants(node)] == ["3.2.1"]
+        assert self.slice_length(store, node) == 0
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Names of the TreeStore methods _ensure_index and _require, in
+        call order."""
+        calls = []
+        for name in ("_ensure_index", "_require"):
+            real = getattr(TreeStore, name)
+
+            def counting(store, *args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(store, *args)
+
+            monkeypatch.setattr(TreeStore, name, counting)
+        return calls
+
+    @staticmethod
+    def handles():
+        """A store, and three records it does not hold: a deleted one
+        whose slot a new node took, one of an equal store at a key it
+        holds, and one of a store with its keys stale."""
+        paths = random_forest(random.Random(67), 200)
+        st = build_store_from_paths(TreeStore, paths)
+        stale, kept = st.children()[:2]
+        st.delete_subtree(stale)
+        assert st.add_child("root", "new", index=matrix_to_path(stale.matrix)[-1]).matrix == stale.matrix
+        foreign = build_store_from_paths(TreeStore, paths).resolve(matrix_to_path(kept.matrix))
+        return st, [stale, foreign, TreeStore().add_child("root", "x")]
+
+    def test_missing_handles_by_position_in_the_sorted_index(self, calls):
+        st, handles = self.handles()
+        st.all_nodes()
+        calls.clear()
+        for handle in handles:
+            with pytest.raises(MissingNodeError):
+                st.descendants(handle)
+        assert calls == ["_ensure_index"] * len(handles)  # no dict probe
+        empty = TreeStore()
+        empty.all_nodes()
+        with pytest.raises(MissingNodeError):
+            empty.descendants(handles[0])
+
+    def test_missing_handles_by_dict_probe_in_an_unsorted_index(self, calls):
+        st, handles = self.handles()
+        st.all_nodes()
+        st.add_child("root", "newer")
+        calls.clear()
+        for handle in handles:
+            with pytest.raises(MissingNodeError):
+                st.descendants(handle)
+        assert calls == ["_require"] * len(handles)  # no index build
 
 
 class TestChildrenOrderOracle(TestIndexOrderOracle):
