@@ -42,7 +42,6 @@ from .encoding import (
 )
 from .store import (
     CycleError,
-    IntegrityError,
     LoadError,
     MissingNodeError,
     NodeRecord,
@@ -95,7 +94,6 @@ __all__ = [
     "MissingNodeError",
     "OccupiedSlotError",
     "CycleError",
-    "IntegrityError",
     "LoadError",
     "ROOT",
 ]

@@ -56,7 +56,6 @@ __all__ = [
     "MissingNodeError",
     "OccupiedSlotError",
     "CycleError",
-    "IntegrityError",
     "LoadError",
     "NodeRecord",
     "StoreStats",
@@ -89,12 +88,6 @@ class OccupiedSlotError(StoreError):
 
 class CycleError(StoreError):
     pass
-
-
-class IntegrityError(StoreError):
-    """Kept as a public name; the store no longer raises it.  Ancestor
-    queries follow parent references, which no public call can leave
-    pointing at a missing record."""
 
 
 class LoadError(StoreError):
@@ -565,10 +558,17 @@ class TreeStore:
 
     @classmethod
     def load(cls, source: str | FsPath) -> "TreeStore":
-        """Parse a persistence file, validating matrices, uniqueness and
-        parent closure; errors name the offending line.  Each line's
-        entries pass the MobiusMatrix constructor, and records keep only
-        the entries."""
+        """Parse a persistence file; errors name the offending line.
+
+        Parent closure is the whole node test: four entries are a node
+        when b >= 1 and one parent step lands on the root or on another
+        record of the file.  The child step of that parent gives the
+        entries back, and a parent record's a is below its child's, so
+        by induction on a this accepts exactly the matrices that the
+        MobiusMatrix constructor accepts, without calling it.  The test
+        needs every record read, so an error in parsing a line (fields,
+        digits, duplicate, escape) is reported before a closure error on
+        an earlier line."""
         source = FsPath(source)
         try:
             # no newline translation: a payload may hold a raw CR
@@ -594,28 +594,27 @@ class TreeStore:
                 bad = next(f for f in fields[:4] if not _DIGITS_RE.fullmatch(f))
                 raise LoadError(lineno, f"non-integer matrix entry {bad!r}")
             key = tuple(map(from_decimal, fields[:4]))
-            try:
-                m = MobiusMatrix(*key)
-            except DomainError as e:
-                raise LoadError(lineno, str(e)) from None
-            if key == _ROOT_KEY:
-                raise LoadError(lineno, "the identity matrix is not a storable node")
             if key in records:
-                raise LoadError(lineno, f"duplicate matrix {m}")
+                raise LoadError(lineno, f"duplicate matrix {','.join(fields[:4])}")
             try:
                 payload = unescape_payload(fields[4])
             except ValueError as e:
                 raise LoadError(lineno, str(e)) from None
-            records[key] = NodeRecord(key, payload, low=store._low_for(key))
+            records[key] = NodeRecord(key, payload)
+        # _ensure_index keys every record at once
+        store._stale = True
 
-        # a second pass: a det +1 parent's first child comes before it;
-        # records keep the file's line order
+        # the node test, in a second pass: a det +1 parent's first child
+        # comes before it; records keep the file's line order
         for lineno, (key, rec) in enumerate(records.items(), start=2):
-            pkey, slot = _parent_and_slot(*key)
-            parent = store._root if pkey == _ROOT_KEY else records.get(pkey)
+            parent = None
+            if key[1]:
+                pkey, slot = _parent_and_slot(*key)
+                parent = store._root if pkey == _ROOT_KEY else records.get(pkey)
             if parent is None:
-                pm = _unchecked_matrix(*pkey)
-                raise LoadError(lineno, f"orphan record: parent {matrix_to_path(pm)} missing")
+                # the parent step of any four ints need not decode to a path
+                entries = ",".join(lines[lineno - 1].split("\t")[:4])
+                raise LoadError(lineno, f"matrix {entries} has no parent in the file")
             rec._parent = parent
             parent._kids.append(slot)
         # a det -1 parent's slots arrive in descending order

@@ -31,6 +31,7 @@ from mobiustree.encoding import (
     _child_entries,
     _parent_and_slot,
 )
+from mobiustree.store import TreeStore
 
 from oracles import (
     cf_quotients,
@@ -532,9 +533,10 @@ class TestTrustedDerivations:
             assert len(valid) == 1
             assert parent(m) == valid[0]
 
-    def test_accepted_matrices_are_exactly_the_primitive_products(self):
+    def test_accepted_matrices_are_exactly_the_primitive_products(self, tmp_path):
         # the constructor's checks alone make a matrix a path matrix, so
-        # matrix_to_path, parent and relative need no check of their own
+        # matrix_to_path, parent and relative need no check of their own;
+        # TreeStore.load's parent-closure test accepts the same matrices
         bound = 24
         accepted = set()
         for entries in itertools.product(range(bound), repeat=4):
@@ -561,6 +563,25 @@ class TestTrustedDerivations:
             assert matrix_to_path(m).components == comps
             if comps:
                 assert parent(m).entries() == primitive_product(comps[:-1])
+
+        # load's node test: b >= 1 and one parent step lands on the root
+        # or on a record.  A file of every accepted non-identity matrix
+        # loads; no rejected tuple with b >= 1 steps onto an accepted
+        # matrix or the root, so a file holding one is refused (a
+        # record's parent has a smaller a, so the rejected record with
+        # the least a has no parent in the file)
+        root = (1, 0, 0, 1)
+        nodes = sorted(accepted - {root})
+        assert len(nodes) == 343
+        f = tmp_path / "all.db"
+        lines = ["mobius-tree v1", *("\t".join(map(str, m)) + "\tx" for m in nodes)]
+        f.write_text("\n".join(lines) + "\n")
+        assert {rec.matrix.entries() for rec in TreeStore.load(f)} == set(nodes)
+        for entries in itertools.product(range(bound), repeat=4):
+            if entries[1] >= 1 and entries not in accepted:
+                pkey, slot = _parent_and_slot(*entries)
+                assert _child_entries(*pkey, slot) == entries
+                assert pkey != root and pkey not in accepted, entries
 
     @pytest.mark.parametrize("text", ["3.0.1", "0", "00", "3.00"])
     def test_parse_still_rejects_zero_components(self, text):

@@ -1,9 +1,9 @@
 """TreeStore.load on corrupted store files.
 
 Each file is a small valid store file with random damage: truncation,
-swapped, dropped or repeated lines, huge, negative or malformed matrix
-entries, bad escapes, bytes that are not UTF-8, stray separators,
-lines replaced by the identity matrix or a new node.  An
+swapped, dropped or repeated lines, huge, negative, malformed or
+off-by-one matrix entries, bad escapes, bytes that are not UTF-8, stray
+separators, lines replaced by the identity matrix or a new node.  An
 oracle reads the same bytes with Euclid's algorithm and tuple matrix
 products alone, and decides what the file holds.  The loader must agree:
 either it loads exactly that store, which saves to the bytes of a
@@ -16,6 +16,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from mobiustree.exactmath import to_decimal
 from mobiustree.store import StoreError, TreeStore
 
 from oracles import build_store_from_paths, primitive_product, random_forest
@@ -111,7 +112,7 @@ EDITS = st.one_of(
         st.just("entry"),
         st.floats(0, 1),
         st.integers(0, 3),
-        st.sampled_from(["huge", "zeros", "-5", "", "x", "0", "1", "2", "٣", " 3"]),
+        st.sampled_from(["huge", "zeros", "+1", "-1", "-5", "", "x", "0", "1", "2", "٣", " 3"]),
     ),
     st.tuples(st.just("payload"), st.floats(0, 1), st.sampled_from(["\\q", "\\", "\\\\", "\\t"])),
     st.tuples(
@@ -143,7 +144,10 @@ def apply(raw, edit, huge):
     elif kind == "entry":
         fields = lines[i].split(b"\t")
         k, value = rest
-        if k < len(fields):
+        if value in ("+1", "-1"):  # a near-miss: the field's number nudged by one
+            if k < len(fields) and fields[k].isdigit():
+                fields[k] = to_decimal(big_int(fields[k].decode()) + int(value)).encode()
+        elif k < len(fields):
             if value == "zeros":  # the same number, with leading zeros
                 value = "00" + fields[k].decode("utf-8", "replace")
             fields[k] = (huge if value == "huge" else value).encode()
@@ -197,6 +201,7 @@ def test_damaged_files_load_exactly_or_raise_store_error(tmp_path, edits, data):
         (("bytes", 0.5, b"\xff"), False),
         (("entry", 0.5, 0, "huge"), False),
         (("entry", 0.5, 1, "-5"), False),
+        (("entry", 0.5, 3, "+1"), False),  # a near-miss: determinant off by a
         (("line", 0.5, "1\t0\t0\t1\tid"), False),  # the identity
     ],
 )

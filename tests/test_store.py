@@ -553,6 +553,8 @@ class TestPersistence:
         expect_error("mobius-tree v1\n3\t1\t1\t0\tbad\\q\n", 2)  # bad escape
         # orphan: 3.12 without 3
         expect_error("mobius-tree v1\n37\t3\t12\t1\tx\n", 2)
+        # a parent step that matrix_to_path would never finish decoding
+        expect_error("mobius-tree v1\n0\t1\t2\t3\tx\n", 2)
 
     def test_entries_past_the_int_str_limit(self, tmp_path):
         big = 10**5000
