@@ -3,17 +3,19 @@ plus store manipulation with stable, scriptable text output.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (invalid encoding
 or value), 4 store error.  Mutating commands rewrite the store file
-atomically.
+atomically, each holding an exclusive lock from load to save.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
 import os
 import re
 import sys
 
-from .exactmath import DomainError, Ratio, from_decimal, to_decimal
+from .exactmath import DomainError, Ratio, _unchecked_ratio, from_decimal, to_decimal
 from .encoding import (
     MobiusMatrix,
     NestedInterval,
@@ -97,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _print_node_report(m: MobiusMatrix, out) -> None:
     path = matrix_to_path(m)
-    label = "-" if m.is_identity else str(Ratio(m.a, m.c))
+    label = "-" if m.is_identity else str(_unchecked_ratio(m.a, m.c))
     print(f"path: {path}", file=out)
     print(f"ratio: {label}", file=out)
     print(f"matrix: {m}", file=out)
@@ -132,7 +134,7 @@ def _cmd_encode(args, out) -> int:
 def _cmd_decode(args, out) -> int:
     m = interval_to_matrix(NestedInterval.parse(args.interval))
     path = matrix_to_path(m)
-    label = "-" if m.is_identity else str(Ratio(m.a, m.c))
+    label = "-" if m.is_identity else str(_unchecked_ratio(m.a, m.c))
     print(f"matrix: {m}", file=out)
     print(f"path: {path}", file=out)
     print(f"ratio: {label}", file=out)
@@ -146,27 +148,51 @@ def _cmd_init(args, out) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _write_lock(file: str):
+    """Hold an exclusive flock on the sidecar "<file>.lock", so that
+    concurrent mutating commands on one store take turns from load to
+    save and none loses another's update.  The store file itself is
+    replaced by each save, so it cannot carry the lock."""
+    try:
+        fd = os.open(file + ".lock", os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        except OSError:
+            os.close(fd)
+            raise
+    except OSError as e:
+        raise StoreError(f"cannot lock {file}: {e}") from e
+    try:
+        yield
+    finally:
+        os.close(fd)  # releases the lock
+
+
 def _cmd_add(args, out) -> int:
-    store = TreeStore.load(args.file)
-    rec = store.add_child(args.parent, args.payload, index=args.index)
-    store.save(args.file)
+    with _write_lock(args.file):
+        store = TreeStore.load(args.file)
+        rec = store.add_child(args.parent, args.payload, index=args.index)
+        store.save(args.file)
     print(_record_line(str(matrix_to_path(rec.matrix)), rec), file=out)
     return 0
 
 
 def _cmd_mv(args, out) -> int:
-    store = TreeStore.load(args.file)
-    src = store.resolve(args.node)
-    count = store.move_subtree(src, args.to, index=args.index)
-    store.save(args.file)
+    with _write_lock(args.file):
+        store = TreeStore.load(args.file)
+        src = store.resolve(args.node)
+        count = store.move_subtree(src, args.to, index=args.index)
+        store.save(args.file)
     print(f"moved: {count}", file=out)
     return 0
 
 
 def _cmd_rm(args, out) -> int:
-    store = TreeStore.load(args.file)
-    count = store.delete_subtree(store.resolve(args.node))
-    store.save(args.file)
+    with _write_lock(args.file):
+        store = TreeStore.load(args.file)
+        count = store.delete_subtree(store.resolve(args.node))
+        store.save(args.file)
     print(f"removed: {count}", file=out)
     return 0
 

@@ -18,12 +18,15 @@ trailing-1 paths (for example 3.12.5.1 and 3.12.6 are both labeled
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 from . import kernels
+from .kernels import _det_sign
 from .exactmath import (
     DomainError,
     Ratio,
+    _excerpt,
     _unchecked_ratio,
     euclid_quotients,
     from_decimal,
@@ -56,6 +59,7 @@ __all__ = [
 _PATH_RE = re.compile(r"[0-9]+(?:\.[0-9]+)*\Z")
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Path:
     """Materialized path: a sequence of sibling indices, all >= 1.
 
@@ -66,7 +70,7 @@ class Path:
     Non-canonical paths are still valid, distinct nodes.
     """
 
-    __slots__ = ("components",)
+    components: tuple[int, ...]
 
     def __init__(self, components: Iterable[int] = ()):
         comps = tuple(components)
@@ -76,9 +80,6 @@ class Path:
             if q < 1:
                 raise DomainError(f"path component {to_decimal(q)} is < 1")
         object.__setattr__(self, "components", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Path is immutable")
 
     @classmethod
     def parse(cls, text: str) -> "Path":
@@ -104,10 +105,10 @@ class Path:
         if self.is_canonical:
             return self
         c = self.components
-        return Path(c[:-2] + (c[-2] + 1,))
+        return _unchecked_path(c[:-2] + (c[-2] + 1,))
 
     def concat(self, other: "Path") -> "Path":
-        return Path(self.components + other.components)
+        return _unchecked_path(self.components + other.components)
 
     def __len__(self):
         return len(self.components)
@@ -118,14 +119,6 @@ class Path:
     def __getitem__(self, i):
         return self.components[i]
 
-    def __eq__(self, other):
-        if not isinstance(other, Path):
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
-
     def __str__(self):
         if not self.components:
             return "root"
@@ -135,6 +128,7 @@ class Path:
         return f"Path([{', '.join(map(to_decimal, self.components))}])"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class MobiusMatrix:
     """2x2 unbounded-integer matrix [[a,b],[c,d]], the full node identity.
 
@@ -152,13 +146,16 @@ class MobiusMatrix:
     primitive [[a,1],[1,0]]; otherwise |a/c - b/d| = 1/(c*d), and with
     q = min(a//c, b//d) the remainder [[q,1],[1,0]]^-1 * M again meets
     every check with a smaller a.  Matrices this module derives from
-    valid ones (child, path_to_matrix, parent) keep the invariants by
-    construction and are not checked again.
+    valid ones (products, child, parent, siblings, path_to_matrix) keep
+    the invariants by construction and are not checked again.
     """
 
-    __slots__ = ("a", "b", "c", "d")
+    a: int
+    b: int
+    c: int
+    d: int
 
-    IDENTITY: "MobiusMatrix"
+    IDENTITY: ClassVar[MobiusMatrix]
 
     def __init__(self, a: int, b: int, c: int, d: int):
         for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
@@ -168,10 +165,10 @@ class MobiusMatrix:
                 raise DomainError(f"matrix entry {name} is negative")
         det = a * d - b * c
         if det != 1 and det != -1:
-            raise DomainError(f"determinant must be +-1, got {to_decimal(det)}")
+            raise DomainError(f"determinant must be +-1, got {_excerpt(det)}")
         if not (a == 1 and b == 0 and c == 0 and d == 1):
             if not (a >= b and a >= c and b >= d and c >= d):
-                a, b, c, d = map(to_decimal, (a, b, c, d))
+                a, b, c, d = map(_excerpt, (a, b, c, d))
                 raise DomainError(
                     f"entries [[{a},{b}],[{c},{d}]] violate the encoding ordering"
                 )
@@ -179,9 +176,6 @@ class MobiusMatrix:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MobiusMatrix is immutable")
 
     @classmethod
     def parse(cls, text: str) -> "MobiusMatrix":
@@ -205,17 +199,8 @@ class MobiusMatrix:
     def __mul__(self, other):
         if not isinstance(other, MobiusMatrix):
             return NotImplemented
-        return MobiusMatrix(
-            *kernels.mat_mul_raw(*self.entries(), *other.entries())
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, MobiusMatrix):
-            return NotImplemented
-        return self.entries() == other.entries()
-
-    def __hash__(self):
-        return hash(self.entries())
+        # a product of two primitive products is one
+        return _unchecked_matrix(*kernels.mat_mul_raw(*self.entries(), *other.entries()))
 
     def __str__(self):
         return ",".join(map(to_decimal, self.entries()))
@@ -227,6 +212,7 @@ class MobiusMatrix:
 MobiusMatrix.IDENTITY = MobiusMatrix(1, 0, 0, 1)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class NestedInterval:
     """Semiopen interval with exact rational endpoints.
 
@@ -237,7 +223,9 @@ class NestedInterval:
     the function decreases, so the closed endpoint is the high one).
     """
 
-    __slots__ = ("lo", "hi", "closed_end")
+    lo: Ratio
+    hi: Ratio
+    closed_end: str
 
     def __init__(self, lo: Ratio, hi: Ratio, closed_end: str):
         if closed_end not in ("low", "high"):
@@ -247,9 +235,6 @@ class NestedInterval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "closed_end", closed_end)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NestedInterval is immutable")
 
     @classmethod
     def parse(cls, text: str) -> "NestedInterval":
@@ -300,18 +285,6 @@ class NestedInterval:
         if hi < lo:
             return False
         return self.contains(lo) and other.contains(lo)
-
-    def __eq__(self, other):
-        if not isinstance(other, NestedInterval):
-            return NotImplemented
-        return (
-            self.lo == other.lo
-            and self.hi == other.hi
-            and self.closed_end == other.closed_end
-        )
-
-    def __hash__(self):
-        return hash((self.lo, self.hi, self.closed_end))
 
     def __str__(self):
         if self.closed_end == "high":
@@ -389,10 +362,10 @@ def path_to_matrix(p: Path | Sequence[int]) -> MobiusMatrix:
 def matrix_to_path(m: MobiusMatrix) -> Path:
     """The unique path whose primitive product is m.
 
-    Quotients are peeled off the left: q = floor(a/c) when d = 0, else
-    min(floor(a/c), floor(b/d)); the min rule is what makes trailing-1
-    (non-canonical) matrices decode correctly.  Every valid matrix has
-    such a path (see MobiusMatrix), so this never fails.
+    The Euclid quotients of the label a/c, with the last one split into
+    q - 1, 1 when the determinant's sign says the path is one longer
+    (non-canonical, trailing 1).  Every valid matrix has such a path
+    (see MobiusMatrix), so this never fails.
     """
     return _unchecked_path(tuple(kernels.matrix_to_path_raw(m.a, m.b, m.c, m.d)))
 
@@ -407,14 +380,14 @@ def path_to_ratio(p: Path | Sequence[int]) -> Ratio:
     comps = _as_components(p)
     if not comps:
         raise DomainError("the root has no rational label")
-    num, den = kernels.cf_eval_raw(comps)
-    return Ratio(num, den)
+    # the fold's two columns have determinant +-1, so no gcd is needed
+    return _unchecked_ratio(*kernels.cf_eval_raw(comps))
 
 
 def ratio_to_path(r: Ratio) -> Path:
     """Canonical path of a node label: the Euclid quotient sequence."""
     _check_label(r)
-    return Path(euclid_quotients(r.num, r.den))
+    return _unchecked_path(tuple(euclid_quotients(r.num, r.den)))
 
 
 def ratio_to_matrix(r: Ratio) -> MobiusMatrix:
@@ -517,17 +490,11 @@ def _child_entries(a: int, b: int, c: int, d: int, n: int) -> tuple[int, int, in
     return n * a + b, a, n * c + d, c
 
 
-def _det_sign(a: int, b: int, c: int, d: int) -> int:
-    """The determinant +-1 of a valid matrix's entries: -1 and +1 differ
-    mod 4, so the entries' low two bits give it."""
-    return -1 if ((a & 3) * (d & 3) - (b & 3) * (c & 3)) & 3 == 3 else 1
-
-
 def next_sibling(m: MobiusMatrix) -> MobiusMatrix:
     """Matrix of the same path with the last component incremented."""
     if m.is_identity:
         raise DomainError("the root has no siblings")
-    return MobiusMatrix(m.a + m.b, m.b, m.c + m.d, m.d)
+    return _unchecked_matrix(m.a + m.b, m.b, m.c + m.d, m.d)
 
 
 def prev_sibling(m: MobiusMatrix) -> MobiusMatrix:
@@ -537,10 +504,9 @@ def prev_sibling(m: MobiusMatrix) -> MobiusMatrix:
     """
     if m.is_identity:
         raise DomainError("the root has no siblings")
-    try:
-        return MobiusMatrix(m.a - m.b, m.b, m.c - m.d, m.d)
-    except DomainError:
-        raise DomainError("already the first sibling") from None
+    if _parent_and_slot(m.a, m.b, m.c, m.d)[1] == 1:
+        raise DomainError("already the first sibling")
+    return _unchecked_matrix(m.a - m.b, m.b, m.c - m.d, m.d)
 
 
 def child(m: MobiusMatrix, n: int) -> MobiusMatrix:
@@ -616,7 +582,7 @@ def convergents(r: Ratio) -> list[Ratio]:
     for q in quotients:
         h_prev, h = h, q * h + h_prev
         k_prev, k = k, q * k + k_prev
-        out.append(Ratio(h, k))
+        out.append(_unchecked_ratio(h, k))
     return out
 
 

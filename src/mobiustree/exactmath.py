@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 
 from . import kernels
 
@@ -77,6 +78,25 @@ def from_decimal(text: str) -> int:
     return -n if text.startswith("-") else n
 
 
+_EXCERPT_CHARS = 40
+
+
+def _excerpt(value: int | str) -> str:
+    """value as an error message quotes it: its text (an int's in
+    decimal) whole up to 40 characters, else the first 40 and the
+    length, so a huge input cannot make a huge message.  An int past
+    CPython's int/str digit limit is named by its bit length instead,
+    as its decimal text takes time quadratic in its length."""
+    if isinstance(value, int):
+        try:
+            value = str(value)
+        except ValueError:
+            return f"<{value.bit_length()}-bit int>"
+    if len(value) <= _EXCERPT_CHARS:
+        return value
+    return f"{value[:_EXCERPT_CHARS]}... ({len(value)} chars)"
+
+
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor with gcd(n, 0) = n; (0, 0) is an error."""
     _check_int("a", a)
@@ -128,6 +148,7 @@ def euclid_quotients(a: int, b: int) -> list[int]:
 _RATIO_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?\Z")
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Ratio:
     """Exact nonnegative rational in lowest terms.
 
@@ -137,7 +158,8 @@ class Ratio:
     0/0 is rejected.
     """
 
-    __slots__ = ("num", "den")
+    num: int
+    den: int
 
     def __init__(self, num: int, den: int = 1):
         _check_int("num", num)
@@ -149,9 +171,6 @@ class Ratio:
         g = math.gcd(num, den)
         object.__setattr__(self, "num", num // g)
         object.__setattr__(self, "den", den // g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ratio is immutable")
 
     @property
     def is_infinite(self) -> bool:
@@ -177,14 +196,6 @@ class Ratio:
 
     def __repr__(self):
         return f"Ratio({to_decimal(self.num)}, {to_decimal(self.den)})"
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __eq__(self, other):
-        if not isinstance(other, Ratio):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
 
     def __lt__(self, other):
         if not isinstance(other, Ratio):

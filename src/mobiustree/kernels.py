@@ -79,31 +79,28 @@ def path_to_matrix_raw(components):
 
 
 def matrix_to_path_raw(a, b, c, d):
-    """Peel primitive factors off [[a,b],[c,d]], returning the quotients.
+    """The quotients of the path whose primitive product is [[a,b],[c,d]].
 
     Inverse of path_to_matrix_raw for any product of primitives,
     including non-canonical (trailing-1) ones, which is every matrix the
-    MobiusMatrix constructor accepts.  The quotient is
-    min(floor(a/c), floor(b/d)) (floor(a/c) when d = 0), the only choice
-    that keeps the remainder a path matrix; a/c and b/d differ by
-    1/(c*d), so the min is floor(a/c) or one less.  When a - c < c the
-    quotient is 1 with no fix-up, since b >= d: that step is two
-    subtractions.  The one 1 that fails the test, the first of a
-    trailing 1.1 (a = 2c), goes through the division.
+    MobiusMatrix constructor accepts.  The path spells a/c as a
+    continued fraction, so it is the Euclid chain of (a, c), or, for a
+    non-canonical path, that chain with its last quotient q split into
+    q - 1, 1.  Each primitive has determinant -1, so the path's length
+    has the parity of the determinant's sign, and that parity picks the
+    one of the two that the matrix is.
     """
-    out = []
-    while c:
-        r = a - c
-        if r < c:
-            a, b, c, d = c, d, r, b - d
-            out.append(1)
-            continue
-        q = a // c
-        if b - q * d < 0:
-            q -= 1
-        a, b, c, d = c, d, a - q * c, b - q * d
-        out.append(q)
+    out, _ = euclid_quotients_raw(a, c)
+    if (-1) ** len(out) != _det_sign(a, b, c, d):
+        out[-1] -= 1
+        out.append(1)
     return out
+
+
+def _det_sign(a, b, c, d):
+    """The determinant +-1 of a valid matrix's entries: -1 and +1 differ
+    mod 4, so the entries' low two bits give it."""
+    return -1 if ((a & 3) * (d & 3) - (b & 3) * (c & 3)) & 3 == 3 else 1
 
 
 def mat_mul_raw(a1, b1, c1, d1, a2, b2, c2, d2):

@@ -36,13 +36,13 @@ from pathlib import Path as FsPath
 from typing import Iterable, Union
 
 from . import kernels
-from .exactmath import DomainError, from_decimal, to_decimal
+from .exactmath import DomainError, _excerpt, from_decimal, to_decimal
+from .kernels import _det_sign
 from .encoding import (
     MobiusMatrix,
     Path,
     _as_components,
     _child_entries,
-    _det_sign,
     _parent_and_slot,
     _path_components,
     _unchecked_matrix,
@@ -592,10 +592,10 @@ class TreeStore:
                 raise LoadError(lineno, f"expected 5 tab-separated fields, got {len(fields)}")
             if _ENTRIES_RE.match(line) is None:
                 bad = next(f for f in fields[:4] if not _DIGITS_RE.fullmatch(f))
-                raise LoadError(lineno, f"non-integer matrix entry {bad!r}")
+                raise LoadError(lineno, f"non-integer matrix entry {_excerpt(bad)!r}")
             key = tuple(map(from_decimal, fields[:4]))
             if key in records:
-                raise LoadError(lineno, f"duplicate matrix {','.join(fields[:4])}")
+                raise LoadError(lineno, f"duplicate matrix {','.join(map(_excerpt, fields[:4]))}")
             try:
                 payload = unescape_payload(fields[4])
             except ValueError as e:
@@ -613,7 +613,7 @@ class TreeStore:
                 parent = store._root if pkey == _ROOT_KEY else records.get(pkey)
             if parent is None:
                 # the parent step of any four ints need not decode to a path
-                entries = ",".join(lines[lineno - 1].split("\t")[:4])
+                entries = ",".join(map(_excerpt, lines[lineno - 1].split("\t")[:4]))
                 raise LoadError(lineno, f"matrix {entries} has no parent in the file")
             rec._parent = parent
             parent._kids.append(slot)

@@ -75,6 +75,13 @@ def primitive_product(components):
     return m
 
 
+def oracle_interval(matrix):
+    """(lo, hi) of a matrix's interval as Fractions: the endpoints a/c
+    and (a+b)/(c+d) in increasing order."""
+    a, b, c, d = matrix
+    return tuple(sorted([Fraction(a, c), Fraction(a + b, c + d)]))
+
+
 def is_proper_prefix(p, q):
     return len(p) < len(q) and q[: len(p)] == p
 

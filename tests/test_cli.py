@@ -104,6 +104,16 @@ class TestEncodeDecode:
         code, out2, _ = run(capsys, "encode", "--matrix", fields["matrix"])
         assert (code, out2) == (0, out)
 
+    @pytest.mark.parametrize(
+        "matrix",
+        ["1" + "0" * 100_000 + ",0,0,1", "1,0," + "9" * 100_000 + ",1"],
+        ids=["determinant", "ordering"],
+    )
+    def test_huge_matrix_error_is_short(self, capsys, matrix):
+        code, out, err = run(capsys, "encode", "--matrix", matrix)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and len(err) < 300
+
     def test_usage_errors_exit_2(self, capsys):
         assert run(capsys, "encode")[0] == 2  # no input form
         assert run(capsys, "encode", "--path", "1", "--ratio", "1/1")[0] == 2
@@ -232,6 +242,9 @@ class TestStoreCommands:
     def test_missing_store_file_exits_4(self, tmp_path, capsys):
         code, _, err = run(capsys, "ls", str(tmp_path / "nope.db"))
         assert code == 4
+        # a mutating command cannot even make its lock file here
+        code, _, err = run(capsys, "add", str(tmp_path / "no-dir" / "nope.db"), "--parent", "root")
+        assert code == 4 and err.startswith("error: cannot lock ")
 
     def test_mutations_persist(self, store_file, capsys):
         run(capsys, "add", store_file, "--parent", "4.7", "--payload", "kid")
@@ -490,3 +503,34 @@ def test_exit_codes_of_a_real_process(tmp_path):
         elif code >= 3:
             assert proc.stdout == ""
             assert proc.stderr.startswith("error:")
+
+
+def test_concurrent_adds_keep_every_node(tmp_path):
+    """Mutating commands on one file take turns from load to save, so no
+    concurrent add loses another's node.  Unlocked, the processes load
+    the same file and the last save wins; loading 5000 records takes
+    long enough that four processes started together overlap."""
+    from mobiustree.store import TreeStore
+
+    f = tmp_path / "s.db"
+    st = TreeStore()
+    for _ in range(5000):
+        st.add_child("root", "")
+    st.save(f)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "mobiustree.cli", "add", str(f), "--parent", "root", "--payload", f"p{j}"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        for j in range(4)
+    ]
+    for proc in procs:
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+    payloads = [rec.payload for rec in TreeStore.load(f).children()]
+    assert len(payloads) == 5004
+    assert sorted(payloads[5000:]) == ["p0", "p1", "p2", "p3"]

@@ -29,6 +29,7 @@ from oracles import (
     build_store_from_paths,
     is_proper_prefix,
     mat_mul4,
+    oracle_interval,
     primitive_product,
     random_forest,
 )
@@ -574,19 +575,24 @@ class TestPersistence:
         assert loaded.stats().max_key_bytes == 5001 + 1 + 5001 + 4
 
     @pytest.mark.parametrize(
-        "entries",
+        "entries, copies",
         [
-            ("9" * 5000, "1", "1", "1"),  # determinant has 5000 digits
-            ("1", "0", "9" * 5000, "1"),  # c > a
+            (("9" * 5000, "1", "1", "1"), 1),  # determinant has 5000 digits
+            (("1", "0", "9" * 5000, "1"), 1),  # c > a
+            (("9" * 10**6 + "x", "1", "1", "1"), 1),
+            (("9" * 100_000, "1", "1", "1"), 2),
         ],
-        ids=["determinant", "ordering"],
+        ids=["determinant", "ordering", "non-integer", "duplicate"],
     )
-    def test_load_rejects_bad_huge_entries(self, tmp_path, entries):
+    def test_load_rejects_bad_huge_entries(self, tmp_path, entries, copies):
+        """The error names the first bad line and quotes only the start
+        of each huge entry."""
         f = tmp_path / "s.db"
-        f.write_text("mobius-tree v1\n" + "\t".join(entries) + "\tx\n")
+        f.write_text("mobius-tree v1\n" + ("\t".join(entries) + "\tx\n") * copies)
         with pytest.raises(LoadError) as ei:
             TreeStore.load(f)
-        assert ei.value.line == 2
+        assert ei.value.line == 1 + copies
+        assert len(str(ei.value)) < 300
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(StoreError):
@@ -643,13 +649,6 @@ class TestPersistence:
         st.save(f)
         assert calls == [("fsync file", True), ("replace", True), ("fsync dir", True)]
         assert f.stat().st_size == size
-
-
-def oracle_interval(matrix):
-    """(lo, hi) of a matrix's interval as Fractions: the endpoints a/c
-    and (a+b)/(c+d) in increasing order."""
-    a, b, c, d = matrix
-    return tuple(sorted([Fraction(a, c), Fraction(a + b, c + d)]))
 
 
 class TestIndexOrderOracle:
