@@ -15,7 +15,7 @@ import os
 import re
 import sys
 
-from .exactmath import DomainError, Ratio, _unchecked_ratio, from_decimal, to_decimal
+from .exactmath import DomainError, Ratio, _excerpt, _unchecked_ratio, from_decimal, to_decimal
 from .encoding import (
     MobiusMatrix,
     NestedInterval,
@@ -37,7 +37,7 @@ def _slot(text: str) -> int:
     with an optional "-".  The store rejects slots below 1 as a domain
     error."""
     if _SLOT_RE.fullmatch(text) is None:
-        raise argparse.ArgumentTypeError(f"invalid slot: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid slot: {_excerpt(text)!r}")
     return from_decimal(text)
 
 

@@ -26,6 +26,7 @@ from .kernels import _det_sign
 from .exactmath import (
     DomainError,
     Ratio,
+    _EXCERPT_CHARS,
     _excerpt,
     _unchecked_ratio,
     euclid_quotients,
@@ -76,9 +77,9 @@ class Path:
         comps = tuple(components)
         for q in comps:
             if not isinstance(q, int) or isinstance(q, bool):
-                raise TypeError(f"path component {q!r} is not an int")
+                raise TypeError(f"path component must be an int, got {type(q).__name__}")
             if q < 1:
-                raise DomainError(f"path component {to_decimal(q)} is < 1")
+                raise DomainError(f"path component {_excerpt(q)} is < 1")
         object.__setattr__(self, "components", comps)
 
     @classmethod
@@ -182,7 +183,7 @@ class MobiusMatrix:
         """Parse row-major decimal form "a,b,c,d"."""
         parts = [p.strip() for p in text.strip().split(",")]
         if len(parts) != 4 or not all(re.fullmatch(r"[0-9]+", p) for p in parts):
-            raise DomainError(f"invalid matrix text: {text!r}")
+            raise DomainError(f"invalid matrix text: {_excerpt(text)!r}")
         return cls(*map(from_decimal, parts))
 
     @property
@@ -229,9 +230,11 @@ class NestedInterval:
 
     def __init__(self, lo: Ratio, hi: Ratio, closed_end: str):
         if closed_end not in ("low", "high"):
-            raise DomainError(f"closed_end must be 'low' or 'high', got {closed_end!r}")
+            raise DomainError(
+                f"closed_end must be 'low' or 'high', got {_excerpt(repr(closed_end))}"
+            )
         if not lo < hi:
-            raise DomainError(f"need lo < hi, got {lo} and {hi}")
+            raise DomainError(f"need lo < hi, got {_excerpt(lo)} and {_excerpt(hi)}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "closed_end", closed_end)
@@ -247,7 +250,7 @@ class NestedInterval:
         else:
             m = re.fullmatch(r"\[(.+),(.+)\)", text)
             if m is None:
-                raise DomainError(f"invalid interval text: {text!r}")
+                raise DomainError(f"invalid interval text: {_excerpt(text)!r}")
             closed = "low"
         return cls(Ratio.parse(m.group(1)), Ratio.parse(m.group(2)), closed)
 
@@ -335,7 +338,7 @@ def _path_components(text: str) -> tuple[int, ...]:
     if text in ("", "root"):
         return ()
     if _PATH_RE.match(text) is None:
-        raise DomainError(f"invalid path text: {text!r}")
+        raise DomainError(f"invalid path text: {_excerpt(text)!r}")
     parts = text.split(".")
     try:
         comps = tuple(map(int, parts))
@@ -345,6 +348,16 @@ def _path_components(text: str) -> tuple[int, ...]:
     if 0 in comps:
         raise DomainError("path component 0 is < 1")
     return comps
+
+
+def _path_excerpt(comps: tuple[int, ...]) -> str:
+    """Path components as an error message quotes them: the dotted text
+    of at most 40 components, each excerpted, whole up to 40 characters,
+    else its first 40 and the number of components."""
+    text = ".".join(map(_excerpt, comps[:_EXCERPT_CHARS])) or "root"
+    if len(comps) <= _EXCERPT_CHARS and len(text) <= _EXCERPT_CHARS:
+        return text
+    return f"{text[:_EXCERPT_CHARS]}... ({len(comps)} components)"
 
 
 def _as_components(p) -> tuple[int, ...]:
@@ -434,15 +447,17 @@ def interval_to_matrix(iv: NestedInterval) -> MobiusMatrix:
     a, c = open_pt.num, open_pt.den
     b = closed_pt.num - a
     d = closed_pt.den - c
-    if b < 0 or d < 0:
-        raise DomainError(f"not an encoding interval: {iv}")
-    try:
-        m = MobiusMatrix(a, b, c, d)
-    except DomainError:
-        raise DomainError(f"not an encoding interval: {iv}") from None
-    if m.det != expected_det:
-        raise DomainError(f"not an encoding interval: {iv}")
-    return m
+    if b >= 0 and d >= 0:
+        try:
+            m = MobiusMatrix(a, b, c, d)
+        except DomainError:
+            pass
+        else:
+            if m.det == expected_det:
+                return m
+    ends = f"{_excerpt(iv.lo)}, {_excerpt(iv.hi)}"
+    ends = f"({ends}]" if iv.closed_end == "high" else f"[{ends})"
+    raise DomainError(f"not an encoding interval: {ends}")
 
 
 def interval_contains(iv: NestedInterval, p: Ratio) -> bool:
@@ -518,7 +533,7 @@ def child(m: MobiusMatrix, n: int) -> MobiusMatrix:
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("child index must be an int")
     if n < 1:
-        raise DomainError(f"child index must be >= 1, got {to_decimal(n)}")
+        raise DomainError(f"child index must be >= 1, got {_excerpt(n)}")
     # with n >= 1 the product keeps m's entry ordering and flips the
     # determinant's sign, so it needs no check
     return _unchecked_matrix(*_child_entries(m.a, m.b, m.c, m.d, n))
@@ -595,4 +610,4 @@ def _check_label(r: Ratio) -> None:
     if not isinstance(r, Ratio):
         raise TypeError("expected a Ratio")
     if r.den < 1 or r.num < r.den:
-        raise DomainError(f"{r} is not a node label (need num >= den >= 1)")
+        raise DomainError(f"{_excerpt(r)} is not a node label (need num >= den >= 1)")

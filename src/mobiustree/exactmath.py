@@ -81,12 +81,15 @@ def from_decimal(text: str) -> int:
 _EXCERPT_CHARS = 40
 
 
-def _excerpt(value: int | str) -> str:
+def _excerpt(value: int | str | Ratio) -> str:
     """value as an error message quotes it: its text (an int's in
     decimal) whole up to 40 characters, else the first 40 and the
     length, so a huge input cannot make a huge message.  An int past
     CPython's int/str digit limit is named by its bit length instead,
-    as its decimal text takes time quadratic in its length."""
+    as its decimal text takes time quadratic in its length.  A Ratio is
+    its two parts, each excerpted."""
+    if isinstance(value, Ratio):
+        return "inf" if value.den == 0 else f"{_excerpt(value.num)}/{_excerpt(value.den)}"
     if isinstance(value, int):
         try:
             value = str(value)
@@ -136,11 +139,11 @@ def euclid_quotients(a: int, b: int) -> list[int]:
     _check_int("a", a)
     _check_int("b", b)
     if b < 1 or a < b:
-        raise DomainError(f"need a >= b >= 1, got ({to_decimal(a)}, {to_decimal(b)})")
+        raise DomainError(f"need a >= b >= 1, got ({_excerpt(a)}, {_excerpt(b)})")
     quotients, g = kernels.euclid_quotients_raw(a, b)
     if g != 1:
         raise DomainError(
-            f"{to_decimal(a)} and {to_decimal(b)} are not coprime (gcd {to_decimal(g)})"
+            f"{_excerpt(a)} and {_excerpt(b)} are not coprime (gcd {_excerpt(g)})"
         )
     return quotients
 
@@ -184,7 +187,7 @@ class Ratio:
             return cls(1, 0)
         m = _RATIO_RE.match(text)
         if m is None:
-            raise DomainError(f"invalid ratio text: {text!r}")
+            raise DomainError(f"invalid ratio text: {_excerpt(text)!r}")
         num = from_decimal(m.group(1))
         den = from_decimal(m.group(2)) if m.group(2) is not None else 1
         return cls(num, den)

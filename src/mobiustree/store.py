@@ -12,6 +12,9 @@ arithmetic; inserts never touch existing keys.  Each record keeps its
 own occupied child slots, so a subtree is walked down through them, one
 child step per record, and deleting or relocating it needs no index (a
 move gives each record the child step of its parent's new entries).
+Each record also holds an owner token, the store's root sentinel while
+the store holds it and None once deleted, so a handle is checked by one
+identity test, with no lookup.
 
 Persistence format ("mobius-tree v1"): a header line, then one record
 per line as a<TAB>b<TAB>c<TAB>d<TAB>payload with the matrix entries in
@@ -45,8 +48,8 @@ from .encoding import (
     _child_entries,
     _parent_and_slot,
     _path_components,
+    _path_excerpt,
     _unchecked_matrix,
-    _unchecked_path,
     is_ancestor,
     matrix_to_path,
 )
@@ -109,10 +112,13 @@ class NodeRecord:
     store's _root sentinel for a top-level node (None on the sentinel);
     references point from child to parent only, so they form no cycles.
     _low is the record's sort key in the store's index (see _low_key),
-    or 0 while the store's keys are stale.
+    or 0 while the store's keys are stale.  _owner is the _root sentinel
+    of the store that holds the record, set at insert and load, kept by
+    a move and cleared to None by a delete; the sentinel refers to no
+    record, so the token makes no cycle either (None on the sentinel).
     """
 
-    __slots__ = ("_key", "payload", "_kids", "_parent", "_low")
+    __slots__ = ("_key", "payload", "_kids", "_parent", "_low", "_owner")
 
     def __init__(
         self,
@@ -120,12 +126,14 @@ class NodeRecord:
         payload: str,
         parent: NodeRecord | None = None,
         low: int = 0,
+        owner: NodeRecord | None = None,
     ):
         self._key = key
         self.payload = payload
         self._kids: list[int] = []
         self._parent = parent
         self._low = low
+        self._owner = owner
 
     @property
     def matrix(self) -> MobiusMatrix:
@@ -191,6 +199,19 @@ def _shift_for(den: int) -> int:
     return 2 * den.bit_length() + 2
 
 
+def _missing(ref: MobiusMatrix | Path | str | Iterable[int]) -> MissingNodeError:
+    """The error for a path or matrix that names no record.  It quotes
+    the caller's own text, path components or matrix entries, each
+    excerpted, and decodes no matrix."""
+    if isinstance(ref, str):
+        quoted = _excerpt(ref.strip())
+    elif isinstance(ref, MobiusMatrix):
+        quoted = "matrix " + ",".join(map(_excerpt, ref.entries()))
+    else:
+        quoted = _path_excerpt(_as_components(ref))
+    return MissingNodeError(f"no node at {quoted}")
+
+
 _LOW = attrgetter("_low")
 
 # descendants() looks for a subtree's end among this many index entries
@@ -212,7 +233,8 @@ class TreeStore:
         self._shift = 0
         self._stale = False
         # holds the root's child slots as a record does, and is the
-        # _parent of every top-level record; never in _records
+        # _parent of every top-level record and the _owner of every
+        # record; never in _records
         self._root = NodeRecord(_ROOT_KEY, "")
         # the records sorted by _low, re-sorted by the first query after
         # a mutation.  A mutation only sets _unsorted: releasing the list
@@ -239,18 +261,20 @@ class TreeStore:
         elif isinstance(parent, MobiusMatrix):
             key = parent.entries()
         else:
-            raise TypeError(f"bad parent reference: {parent!r}")
+            raise TypeError(f"bad parent reference of type {type(parent).__name__}")
         if key == _ROOT_KEY:
             return self._root
         rec = self._records.get(key)
         if rec is None:
-            raise MissingNodeError(f"no node at {matrix_to_path(_unchecked_matrix(*key))}")
+            raise _missing(parent)
         return rec
 
     def _require(self, record: NodeRecord) -> NodeRecord:
-        """The record, if it is this store's own and present; its _low is
-        current only after _ensure_index."""
-        if self._records.get(record._key) is not record:
+        """The record, if this store holds it: its owner token is this
+        store's _root sentinel, which a delete clears and a move keeps.
+        The store's only presence check; its _low is current only after
+        _ensure_index."""
+        if record._owner is not self._root:
             raise MissingNodeError("record is not in this store")
         return record
 
@@ -283,7 +307,8 @@ class TreeStore:
         det +1, descending under det -1, the sign alternating by depth),
         so the returned list is close to index order.  Only node's own
         slot is dropped from its parent's list; every record keeps its
-        own."""
+        own.  Without base the records are deleted, and each loses its
+        owner token."""
         records = self._records
         siblings = node._parent._kids
         del siblings[bisect.bisect_left(siblings, _parent_and_slot(*node._key)[1])]
@@ -294,7 +319,9 @@ class TreeStore:
             key, new, det = stack.pop()
             rec = records.pop(key)
             out.append(rec)
-            if new is not None:
+            if new is None:
+                rec._owner = None
+            else:
                 rec._key = new
             # the stack pops the last pushed first
             for n in reversed(rec._kids) if det == 1 else rec._kids:
@@ -320,11 +347,12 @@ class TreeStore:
         if not isinstance(index, int) or isinstance(index, bool):
             raise TypeError(f"child index must be an int, got {type(index).__name__}")
         if index < 1:
-            raise DomainError(f"child index must be >= 1, got {to_decimal(index)}")
+            raise DomainError(f"child index must be >= 1, got {_excerpt(index)}")
         i = bisect.bisect_left(occupied, index)
         if i < len(occupied) and occupied[i] == index and index != vacating:
             raise OccupiedSlotError(
-                f"slot {to_decimal(index)} under {matrix_to_path(parent.matrix)} is occupied"
+                f"slot {_excerpt(index)} under "
+                f"{_path_excerpt(matrix_to_path(parent.matrix).components)} is occupied"
             )
         return index
 
@@ -359,7 +387,7 @@ class TreeStore:
         comps = _path_components(path) if isinstance(path, str) else _as_components(path)
         rec = self._records.get(kernels.path_to_matrix_raw(comps))
         if rec is None:
-            raise MissingNodeError(f"no node at {_unchecked_path(comps)}")
+            raise _missing(path)
         return rec
 
     def all_nodes(self) -> list[NodeRecord]:
@@ -391,24 +419,18 @@ class TreeStore:
         sorts two places before the slice and comes first.  The node's
         high endpoint is computed here, at the index's shift.
 
-        One bisect finds the slice start i, the first record past both
-        records that can share the node's low endpoint.  It also proves
-        the node present: the sorted index holds only present records,
-        and a present node sits at i - 1, or at i - 2 when it is the
-        slot-1 child of a det +1 parent, which sorts after it.  While
-        the index is unsorted the dict is probed instead, so a stale
-        handle raises before any sort.  A leaf's slice is empty, by
-        parent closure.  Otherwise the end is found within the
-        _END_WINDOW records after i, where most subtrees end, or by a
-        bisect past them: one probe at i + _END_WINDOW picks the side.
+        The node's owner token is checked first, so a stale or foreign
+        handle raises before any sort.  One bisect finds the slice start
+        i, the first record past both records that can share the node's
+        low endpoint.  A leaf's slice is empty, by parent closure.
+        Otherwise the end is found within the _END_WINDOW records after
+        i, where most subtrees end, or by a bisect past them: one probe
+        at i + _END_WINDOW picks the side.
         """
-        if self._unsorted:
-            self._require(node)
+        self._require(node)
         idx = self._ensure_index()
         low = node._low
         i = bisect.bisect_left(idx, (low | 1) + 1, key=_LOW)
-        if not (i > 0 and idx[i - 1] is node or i > 1 and idx[i - 2] is node):
-            raise MissingNodeError("record is not in this store")
         kids = node._kids
         if not kids:
             return []
@@ -475,7 +497,8 @@ class TreeStore:
         parent = self._resolve_parent_ref(parent)
         slot = self._choose_slot(parent, index)
         key = _child_entries(*parent._key, slot)
-        rec = self._records[key] = NodeRecord(key, payload, parent, self._low_for(key))
+        rec = NodeRecord(key, payload, parent, self._low_for(key), self._root)
+        self._records[key] = rec
         bisect.insort(parent._kids, slot)
         self._unsorted = True
         return rec
@@ -586,6 +609,7 @@ class TreeStore:
 
         store = cls()
         records = store._records
+        root = store._root
         for lineno, line in enumerate(lines[1:], start=2):
             fields = line.split("\t")
             if len(fields) != 5:
@@ -600,7 +624,7 @@ class TreeStore:
                 payload = unescape_payload(fields[4])
             except ValueError as e:
                 raise LoadError(lineno, str(e)) from None
-            records[key] = NodeRecord(key, payload)
+            records[key] = NodeRecord(key, payload, None, 0, root)
         # _ensure_index keys every record at once
         store._stale = True
 
@@ -610,7 +634,7 @@ class TreeStore:
             parent = None
             if key[1]:
                 pkey, slot = _parent_and_slot(*key)
-                parent = store._root if pkey == _ROOT_KEY else records.get(pkey)
+                parent = root if pkey == _ROOT_KEY else records.get(pkey)
             if parent is None:
                 # the parent step of any four ints need not decode to a path
                 entries = ",".join(map(_excerpt, lines[lineno - 1].split("\t")[:4]))
@@ -618,6 +642,6 @@ class TreeStore:
             rec._parent = parent
             parent._kids.append(slot)
         # a det -1 parent's slots arrive in descending order
-        for rec in (store._root, *store):
+        for rec in (root, *store):
             rec._kids.sort()
         return store

@@ -165,6 +165,44 @@ class TestStoreCommands:
             "3.12.5.1\t225/73\tp1\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["add", "{f}", "--parent", "root", "--index", "-" + "9" * 100_000], 3),
+            (["add", "{f}", "--parent", "root", "--index", "1x" + "9" * 100_000], 2),
+            (["add", "{f}", "--parent", ".".join(["1"] * 50_000)], 4),
+            (["ancestors", "{f}", "--node", ".".join(["1"] * 50_000)], 4),
+            (["encode", "--ratio", "1" * 100_000 + "/x"], 3),
+            (["encode", "--ratio", "1/" + "9" * 100_000], 3),
+            (["encode", "--path", "1." * 50_000 + "x"], 3),
+            (["encode", "--matrix", "1" * 100_000 + ",x"], 3),
+            (["decode", "--interval", "(" + "9" * 100_000 + "/1, 1/1]"], 3),
+            (["decode", "--interval", "(1/1, " + "9" * 100_000 + "/2]"], 3),
+            (["decode", "--interval", "x" * 100_000], 3),
+        ],
+        ids=[
+            "add-index-below-1",
+            "add-index-not-digits",
+            "add-missing-parent",
+            "ancestors-missing-node",
+            "ratio-text",
+            "ratio-not-a-label",
+            "path-text",
+            "matrix-text",
+            "interval-ends-reversed",
+            "not-an-encoding-interval",
+            "interval-text",
+        ],
+    )
+    def test_huge_argument_error_is_short(self, store_file, capsys, argv, want):
+        """A huge bad value keeps the command's exit code, is quoted by
+        an excerpt, and leaves the store as it was."""
+        before = FsPath(store_file).read_bytes()
+        code, out, err = run(capsys, *(a.replace("{f}", store_file) for a in argv))
+        assert (code, out) == (want, "")
+        assert len(err) < 300
+        assert FsPath(store_file).read_bytes() == before
+
     def test_ls_leaf_is_empty_success(self, store_file, capsys):
         code, out, _ = run(capsys, "ls", store_file, "--node", "3.12.5.1.21")
         assert code == 0

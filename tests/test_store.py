@@ -5,6 +5,7 @@ import os
 import random
 import stat
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path as FsPath
 
@@ -131,10 +132,12 @@ class TestResolveAndQueries:
         kid = st.add_child(text, "kid")
         assert kid.matrix.entries() == primitive_product((3, big, 2, 1))
         assert st.children(text) == [kid]
-        with pytest.raises(MissingNodeError, match=f"no node at 3.{to_decimal(big)}.5$"):
-            st.resolve(f"3.{to_decimal(big)}.5")
-        with pytest.raises(MissingNodeError, match=f"no node at 3.{to_decimal(big)}.5$"):
-            st.add_child(f"3.{to_decimal(big)}.5", "orphan")
+        # the message quotes the caller's text, excerpted
+        missing = f"3.{to_decimal(big)}.5"
+        for lookup in (st.resolve, lambda p: st.add_child(p, "orphan")):
+            with pytest.raises(MissingNodeError) as e:
+                lookup(missing)
+            assert str(e.value) == f"no node at {missing[:40]}... ({len(missing)} chars)"
 
     def test_descendants_contains_deep_node(self):
         st = chain_store("3.12.5.1.21", "4.7")
@@ -306,6 +309,32 @@ class TestRecordLayout:
         st.all_nodes()
         gc.collect()
         assert len(gc.get_objects()) - before <= 2 * len(st) + 100
+
+    @pytest.mark.parametrize("case", ["built", "loaded", "deleted_handle_held"])
+    def test_a_dropped_store_is_freed_without_the_cycle_collector(self, case, tmp_path):
+        """References among a store and its records form no cycle, so
+        with the cyclic collector off a store is freed as soon as its
+        last reference goes, even while a handle it deleted is held."""
+        st = chain_store("3.12.5.1.21", "4.7", "5.2")
+        st.move_subtree(st.resolve("3.12"), "4.7")
+        held = st.resolve("5")
+        st.delete_subtree(held)
+        if case == "loaded":
+            st.save(tmp_path / "s.db")
+            st = TreeStore.load(tmp_path / "s.db")
+        if case != "deleted_handle_held":
+            del held
+        # every query, so that whatever a query keeps is in place
+        st.ancestors(st.descendants(st.resolve("4"))[-1])
+        st.children("4.7")
+        ref = weakref.ref(st)
+        gc.collect()
+        gc.disable()
+        try:
+            del st
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_removed_records_are_released_by_the_next_query(self):
         """A mutation leaves the index list as it is, so that list keeps
@@ -838,8 +867,8 @@ class TestDescendantsSliceOracle(TestIndexOrderOracle):
 class TestDescendantsEndSearch:
     """descendants() finds a subtree's end among the W index entries
     past its start, or by a bisect past them, and checks the node by
-    its position in the sorted index: subtrees on either side of W, with
-    and without entries after them, against the slice oracle."""
+    its owner token before any index work: subtrees on either side of W,
+    with and without entries after them, against the slice oracle."""
 
     W = store_module._END_WINDOW
 
@@ -914,28 +943,22 @@ class TestDescendantsEndSearch:
         foreign = build_store_from_paths(TreeStore, paths).resolve(matrix_to_path(kept.matrix))
         return st, [stale, foreign, TreeStore().add_child("root", "x")]
 
-    def test_missing_handles_by_position_in_the_sorted_index(self, calls):
+    @pytest.mark.parametrize("index_sorted", [True, False], ids=["sorted", "unsorted"])
+    def test_missing_handles_raise_before_any_index_work(self, calls, index_sorted):
+        """Each handle, and a handle asked of an empty store, fails the
+        owner check, whether the index is sorted or not."""
         st, handles = self.handles()
-        st.all_nodes()
-        calls.clear()
-        for handle in handles:
-            with pytest.raises(MissingNodeError):
-                st.descendants(handle)
-        assert calls == ["_ensure_index"] * len(handles)  # no dict probe
         empty = TreeStore()
-        empty.all_nodes()
-        with pytest.raises(MissingNodeError):
-            empty.descendants(handles[0])
-
-    def test_missing_handles_by_dict_probe_in_an_unsorted_index(self, calls):
-        st, handles = self.handles()
         st.all_nodes()
-        st.add_child("root", "newer")
+        if index_sorted:
+            empty.all_nodes()
+        else:
+            st.add_child("root", "newer")
         calls.clear()
-        for handle in handles:
+        for store, handle in [*((st, h) for h in handles), (empty, handles[0])]:
             with pytest.raises(MissingNodeError):
-                st.descendants(handle)
-        assert calls == ["_require"] * len(handles)  # no index build
+                store.descendants(handle)
+        assert calls == ["_require"] * (len(handles) + 1)  # no _ensure_index
 
 
 class TestChildrenOrderOracle(TestIndexOrderOracle):
