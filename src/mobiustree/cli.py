@@ -112,12 +112,12 @@ def _record_line(path: str, rec: NodeRecord) -> str:
     """path, label and escaped payload, tab-separated.  det +-1 puts a/c
     in lowest terms, so the label is printed as Ratio would print it,
     with no gcd."""
-    m = rec.matrix
-    return f"{path}\t{to_decimal(m.a)}/{to_decimal(m.c)}\t{escape_payload(rec.payload)}"
+    a, _, c, _ = rec._key
+    return f"{path}\t{to_decimal(a)}/{to_decimal(c)}\t{escape_payload(rec.payload)}"
 
 
 def _slot_of(rec: NodeRecord) -> str:
-    return to_decimal(_parent_and_slot(*rec.matrix.entries())[1])
+    return to_decimal(_parent_and_slot(*rec._key)[1])
 
 
 def _cmd_encode(args, out) -> int:
@@ -142,9 +142,10 @@ def _cmd_decode(args, out) -> int:
 
 
 def _cmd_init(args, out) -> int:
-    if os.path.exists(args.file):
-        raise StoreError(f"{args.file} already exists")
-    TreeStore().save(args.file)
+    with _write_lock(args.file):
+        if os.path.exists(args.file):
+            raise StoreError(f"{args.file} already exists")
+        TreeStore().save(args.file)
     return 0
 
 
@@ -234,17 +235,18 @@ def _cmd_descendants(args, out) -> int:
     store = TreeStore.load(args.file)
     path = Path.parse(args.node)
     node = store.resolve(path)
-    # each record's path is its parent's plus its slot, filled in by
-    # walking the child slots down from the node, as tree does; the
-    # lines follow the descendant slice's order
+    # each record's path is its parent's plus its slot.  The slice puts
+    # parents before children with one exception: a det +1 node's slot-1
+    # child shares its low endpoint, open there, and so sorts just
+    # before it.  That child fills in the parent's path from the
+    # grandparent's, which is already known.
     path_of = {node: str(path)}
-    stack = [node]
-    while stack:
-        rec = stack.pop()
-        for kid in store.children(rec):
-            path_of[kid] = f"{path_of[rec]}.{_slot_of(kid)}"
-            stack.append(kid)
     for rec in store.descendants(node):
+        if rec not in path_of:
+            parent = rec._parent
+            if parent not in path_of:
+                path_of[parent] = f"{path_of[parent._parent]}.{_slot_of(parent)}"
+            path_of[rec] = f"{path_of[parent]}.{_slot_of(rec)}"
         print(_record_line(path_of[rec], rec), file=out)
     return 0
 

@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 _PATH_RE = re.compile(r"[0-9]+(?:\.[0-9]+)*\Z")
+# a ratio holds no comma, so a failed match backtracks over none
+_INTERVAL_RE = re.compile(r"([(\[])([^,]+),([^,]+)([)\]])")
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -244,15 +246,11 @@ class NestedInterval:
         """Parse "(lo, hi]" or "[lo, hi)"; the other bracket combinations
         are not encoding intervals."""
         text = text.strip()
-        m = re.fullmatch(r"\((.+),(.+)\]", text)
-        if m is not None:
-            closed = "high"
-        else:
-            m = re.fullmatch(r"\[(.+),(.+)\)", text)
-            if m is None:
-                raise DomainError(f"invalid interval text: {_excerpt(text)!r}")
-            closed = "low"
-        return cls(Ratio.parse(m.group(1)), Ratio.parse(m.group(2)), closed)
+        m = _INTERVAL_RE.fullmatch(text)
+        if m is None or m.group(1) + m.group(4) not in ("(]", "[)"):
+            raise DomainError(f"invalid interval text: {_excerpt(text)!r}")
+        closed = "high" if m.group(1) == "(" else "low"
+        return cls(Ratio.parse(m.group(2)), Ratio.parse(m.group(3)), closed)
 
     @property
     def closed_point(self) -> Ratio:

@@ -8,6 +8,7 @@ of the root interval.  All values are immutable and all functions pure.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -22,8 +23,6 @@ __all__ = [
     "ext_gcd",
     "euclid_quotients",
     "ratio_cmp",
-    "to_decimal",
-    "from_decimal",
 ]
 
 
@@ -151,6 +150,7 @@ def euclid_quotients(a: int, b: int) -> list[int]:
 _RATIO_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?\Z")
 
 
+@functools.total_ordering
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class Ratio:
     """Exact nonnegative rational in lowest terms.
@@ -204,21 +204,6 @@ class Ratio:
         if not isinstance(other, Ratio):
             return NotImplemented
         return kernels.cmp_raw(self.num, self.den, other.num, other.den) < 0
-
-    def __le__(self, other):
-        if not isinstance(other, Ratio):
-            return NotImplemented
-        return kernels.cmp_raw(self.num, self.den, other.num, other.den) <= 0
-
-    def __gt__(self, other):
-        if not isinstance(other, Ratio):
-            return NotImplemented
-        return kernels.cmp_raw(self.num, self.den, other.num, other.den) > 0
-
-    def __ge__(self, other):
-        if not isinstance(other, Ratio):
-            return NotImplemented
-        return kernels.cmp_raw(self.num, self.den, other.num, other.den) >= 0
 
 
 _set_num = Ratio.__dict__["num"].__set__

@@ -3,8 +3,7 @@
 All functions work on plain unbounded ``int`` values and assume their
 documented preconditions without checking them: the public constructors
 and wrappers in ``exactmath`` and ``encoding`` validate every value once,
-where it enters the library.  Callers reach them as ``kernels.<name>``
-so a profiler can rebind each one in this module alone.
+where it enters the library.
 """
 
 

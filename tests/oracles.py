@@ -82,6 +82,20 @@ def oracle_interval(matrix):
     return tuple(sorted([Fraction(a, c), Fraction(a + b, c + d)]))
 
 
+def escape(payload):
+    """A payload as record lines and the CLI print it."""
+    return payload.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+
+
+def store_file_bytes(records):
+    """What a save must write for (matrix, payload) records given in
+    interval order: the header, then each record's entries and escaped
+    payload."""
+    lines = ["mobius-tree v1"]
+    lines += ["\t".join([*map(str, m), escape(payload)]) for m, payload in records]
+    return ("\n".join(lines) + "\n").encode()
+
+
 def is_proper_prefix(p, q):
     return len(p) < len(q) and q[: len(p)] == p
 

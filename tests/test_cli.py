@@ -147,6 +147,36 @@ class TestStoreCommands:
         assert code == 4
         assert "exists" in err
 
+    def test_init_waits_for_the_write_lock(self, tmp_path, capsys):
+        """init checks for the file and saves it under the lock that add,
+        mv and rm hold, so it cannot replace a store written meanwhile."""
+        import fcntl
+        import threading
+        import time
+
+        from mobiustree import TreeStore
+
+        f = tmp_path / "x.db"
+        codes = []
+        init = threading.Thread(target=lambda: codes.append(main(["init", str(f)])))
+        fd = os.open(str(f) + ".lock", os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            init.start()
+            time.sleep(0.2)
+            assert not f.exists()
+            st = TreeStore()
+            st.add_child("root", "first")
+            st.save(f)
+            before = f.read_bytes()
+        finally:
+            os.close(fd)  # releases the lock
+        init.join(timeout=10)
+        assert not init.is_alive()
+        assert codes == [4]
+        assert "already exists" in capsys.readouterr().err
+        assert f.read_bytes() == before
+
     def test_add_prints_record(self, tmp_path, capsys):
         f = str(tmp_path / "x.db")
         main(["init", f])
@@ -179,6 +209,7 @@ class TestStoreCommands:
             (["decode", "--interval", "(" + "9" * 100_000 + "/1, 1/1]"], 3),
             (["decode", "--interval", "(1/1, " + "9" * 100_000 + "/2]"], 3),
             (["decode", "--interval", "x" * 100_000], 3),
+            (["decode", "--interval", "(" + "," * 100_000 + ")"], 3),
         ],
         ids=[
             "add-index-below-1",
@@ -192,6 +223,7 @@ class TestStoreCommands:
             "interval-ends-reversed",
             "not-an-encoding-interval",
             "interval-text",
+            "interval-commas",
         ],
     )
     def test_huge_argument_error_is_short(self, store_file, capsys, argv, want):
@@ -231,6 +263,38 @@ class TestStoreCommands:
         assert code == 0
         lines = out.splitlines()
         assert [l.split("\t")[0] for l in lines] == ["3.12.5", "3.12.5.1", "3.12.5.1.21"]
+
+    def test_descendants_paths_from_parent_references(self, tmp_path, capsys, monkeypatch):
+        """descendants prints the slice in the Fraction oracle's order,
+        each path built from its parent's, with no walk of the child
+        slots.  2.3 has det +1, so its slot-1 child 2.3.1, which has
+        children of its own, sorts just before it."""
+        from mobiustree import TreeStore
+        from oracles import oracle_interval, primitive_product
+
+        paths = [(2,), (2, 3), (2, 3, 1), (2, 3, 1, 1), (2, 3, 1, 4), (2, 3, 2)]
+        st = TreeStore()
+        for p in paths:
+            st.add_child(".".join(map(str, p[:-1])) or "root", ".".join(map(str, p)), index=p[-1])
+        f = str(tmp_path / "x.db")
+        st.save(f)
+
+        def no_walk(*args):
+            raise AssertionError("children() called")
+
+        monkeypatch.setattr(TreeStore, "children", no_walk)
+        for node in [(2,), (2, 3), (2, 3, 1)]:
+            below = sorted(
+                (p for p in paths if p[: len(node)] == node and p != node),
+                key=lambda p: oracle_interval(primitive_product(p)),
+            )
+            want = ""
+            for p in below:
+                a, _, c, _ = primitive_product(p)
+                dotted = ".".join(map(str, p))
+                want += f"{dotted}\t{a}/{c}\t{dotted}\n"
+            code, out, _ = run(capsys, "descendants", f, "--node", ".".join(map(str, node)))
+            assert (code, out) == (0, want)
 
     def test_tree(self, store_file, capsys):
         code, out, _ = run(capsys, "tree", store_file)

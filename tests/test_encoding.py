@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -277,6 +278,13 @@ class TestIntervals:
         for bad in ["(1/1, 2/1)", "[1/1, 2/1]", "1/1, 2/1", "(2/1, 1/1]"]:
             with pytest.raises(DomainError):
                 NestedInterval.parse(bad)
+
+    def test_parse_rejects_many_commas_in_linear_time(self):
+        # a pattern that backtracks over the commas takes about 2 s here
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError):
+            NestedInterval.parse("(" + "," * 20_000 + ")")
+        assert time.perf_counter() - t0 < 0.2
 
     def test_contains_worked_points(self):
         iv = NestedInterval.parse("[40/13, 37/12)")

@@ -1,4 +1,6 @@
+import operator
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -208,6 +210,38 @@ class TestRatio:
         assert ratio_cmp(p, q) == expect
 
 
+# finite Ratios, the same value often spelled twice, and the infinity sentinel
+RATIOS = st.one_of(
+    st.just(INFINITY),
+    st.builds(Ratio, st.integers(0, 10**6), st.integers(1, 10**6)),
+    st.builds(Ratio, st.integers(0, 12), st.integers(1, 12)),
+)
+ORDER_OPS = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+class TestRatioOrder:
+    @given(RATIOS, RATIOS)
+    def test_operators_match_ratio_cmp_and_fraction(self, p, q):
+        def key(r):
+            return (1, 0) if r.is_infinite else (0, Fraction(r.num, r.den))
+
+        for op in (*ORDER_OPS, operator.eq):
+            assert op(p, q) == op(ratio_cmp(p, q), 0) == op(key(p), key(q))
+
+    def test_operators_refuse_other_types(self):
+        for other in (5, "x"):
+            for op in ORDER_OPS:
+                with pytest.raises(TypeError):
+                    op(Ratio(1, 2), other)
+                with pytest.raises(TypeError):
+                    op(other, INFINITY)
+
+    def test_each_operator_is_the_class_own(self):
+        # perfbench/tracer.py patches each one in Ratio.__dict__
+        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+            assert name in Ratio.__dict__
+
+
 # well past CPython's default int <-> str limit of 4300 digits
 HUGE_DIGITS = sys.int_info.default_max_str_digits + 700
 
@@ -270,3 +304,25 @@ def test_kernel_names_read_by_the_benchmark():
         "cmp_raw",
     ):
         assert callable(getattr(kernels, name))
+
+
+def test_package_exports_each_module_name_once():
+    from mobiustree import encoding, exactmath, store
+
+    assert set(mobiustree.__all__) == {
+        "__version__", "KERNEL_BACKEND",
+        "DomainError", "INFINITY", "Ratio", "gcd", "ext_gcd", "euclid_quotients", "ratio_cmp",
+        "Path", "MobiusMatrix", "NestedInterval", "path_to_matrix", "matrix_to_path",
+        "path_to_ratio", "ratio_to_path", "ratio_to_matrix", "matrix_to_interval",
+        "interval_to_matrix", "interval_contains", "parent", "next_sibling", "prev_sibling",
+        "child", "concat", "relative", "is_ancestor", "convergents", "depth",
+        "TreeStore", "NodeRecord", "StoreStats", "StoreError", "MissingNodeError",
+        "OccupiedSlotError", "CycleError", "LoadError", "ROOT",
+    }
+    assert len(mobiustree.__all__) == 38
+    for module in (exactmath, encoding, store):
+        for name in module.__all__:
+            assert getattr(mobiustree, name) is getattr(module, name), name
+    # the decimal text helpers stay importable from their module alone
+    assert exactmath.to_decimal(10) == "10" and exactmath.from_decimal("10") == 10
+    assert not hasattr(mobiustree, "to_decimal")

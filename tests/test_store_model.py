@@ -17,7 +17,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from mobiustree.store import CycleError, MissingNodeError, OccupiedSlotError, TreeStore
 
-from oracles import mat_mul4, oracle_interval, primitive_product
+from oracles import mat_mul4, oracle_interval, primitive_product, store_file_bytes
 
 BIG = 2**300
 
@@ -74,11 +74,7 @@ class StoreMachine(RuleBasedStateMachine):
         """What a save of a store holding the model's nodes must write:
         the header, then each node's entries and escaped payload, in
         interval order."""
-        lines = ["mobius-tree v1"]
-        for p in order:
-            payload = self.tree[p].replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
-            lines.append("\t".join([*map(str, self.matrix(p)), payload]))
-        return ("\n".join(lines) + "\n").encode()
+        return store_file_bytes((self.matrix(p), self.tree[p]) for p in order)
 
     def kid_slots(self, parent):
         return [p[-1] for p in self.tree if p[:-1] == parent]
