@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fcntl
+import functools
 import os
 import re
 import sys
@@ -41,6 +42,7 @@ def _slot(text: str) -> int:
     return from_decimal(text)
 
 
+@functools.cache  # parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mobius-tree",

@@ -484,7 +484,9 @@ def _parent_and_slot(a: int, b: int, c: int, d: int) -> tuple[tuple[int, int, in
     parent's entries and the last path component.  When a - b < b the
     last component is 1 and c >= d leaves nothing to fix, so the step is
     two subtractions; the one path ending in 1 that fails the test is
-    1.1 (a = 2b), which the division handles."""
+    1.1 (a = 2b), which the division handles.  The branch is also part
+    of load's node test: the division alone would step (1, 1, 0, 1), no
+    node, to slot 0 of node 1 (1, 1, 1, 0)."""
     r = a - b
     if r < b:
         return (b, r, d, c - d), 1
@@ -497,7 +499,9 @@ def _parent_and_slot(a: int, b: int, c: int, d: int) -> tuple[tuple[int, int, in
 
 
 def _child_entries(a: int, b: int, c: int, d: int, n: int) -> tuple[int, int, int, int]:
-    """The step of child(): the entries of [[a,b],[c,d]] * [[n,1],[1,0]]."""
+    """The step of child(): the entries of [[a,b],[c,d]] * [[n,1],[1,0]];
+    slot 1 by additions alone, which pays on the store's inserts,
+    children() calls and moved records."""
     if n == 1:
         return a + b, a, c + d, c
     return n * a + b, a, n * c + d, c

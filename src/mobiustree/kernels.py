@@ -29,17 +29,12 @@ def euclid_quotients_raw(a, b):
     """Quotient sequence of Euclid on (a, b) plus the final gcd.
 
     Assumes a >= b >= 1.  Returns (quotients, gcd); the caller decides
-    whether a non-unit gcd is an error.  A quotient of 1 (a < 2b) is
-    taken by one subtraction, with no division.
+    whether a non-unit gcd is an error.
     """
     out = []
     while b:
-        r = a - b
-        if r < b:
-            out.append(1)
-        else:
-            q, r = divmod(a, b)
-            out.append(q)
+        q, r = divmod(a, b)
+        out.append(q)
         a, b = b, r
     return out, a
 
@@ -53,10 +48,7 @@ def cf_eval_raw(components):
     """
     num, den = 1, 0
     for q in reversed(components):
-        if q == 1:
-            num, den = num + den, num
-        else:
-            num, den = q * num + den, num
+        num, den = q * num + den, num
     return num, den
 
 
@@ -64,16 +56,11 @@ def path_to_matrix_raw(components):
     """Left-to-right product of primitive factors [[q,1],[1,0]].
 
     The empty product is the identity.  Assumes integer components >= 1.
-    A component 1 multiplies by additions alone.
     """
     a, b, c, d = 1, 0, 0, 1
     for q in components:
-        if q == 1:
-            a, b = a + b, a
-            c, d = c + d, c
-        else:
-            a, b = a * q + b, a
-            c, d = c * q + d, c
+        a, b = a * q + b, a
+        c, d = c * q + d, c
     return a, b, c, d
 
 

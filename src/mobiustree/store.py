@@ -250,7 +250,7 @@ class TreeStore:
     def _resolve_parent_ref(self, parent: ParentRef) -> NodeRecord:
         """Normalize a parent/target reference to a present record, or
         to the _root sentinel.  A record must be this store's own."""
-        if parent is None or (isinstance(parent, str) and parent == ROOT):
+        if parent is None:
             return self._root
         if isinstance(parent, NodeRecord):
             return self._require(parent)
@@ -274,9 +274,12 @@ class TreeStore:
         store's _root sentinel, which a delete clears and a move keeps.
         The store's only presence check; its _low is current only after
         _ensure_index."""
-        if record._owner is not self._root:
-            raise MissingNodeError("record is not in this store")
-        return record
+        try:
+            if record._owner is self._root:
+                return record
+        except AttributeError:
+            raise TypeError(f"bad node reference of type {type(record).__name__}") from None
+        raise MissingNodeError("record is not in this store")
 
     def _records_at(self, parent: NodeRecord, slots: Iterable[int]) -> list[NodeRecord]:
         """parent's children in the given slots, in that order: child n

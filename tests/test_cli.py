@@ -566,8 +566,8 @@ def deep_chain_golden_cases(filename):
 
 def test_deep_chain_golden_outputs(tmp_path, capsys):
     """Byte-exact output on a 300-deep all-ones path and chain store;
-    the goldens were written by the long-division steps, before the
-    quotient-1 fast path."""
+    the goldens were written by the long-division steps, before any
+    step had a quotient-1 branch."""
     f = str(tmp_path / "chain.db")
     save_chain_store(f)
     for golden_name, argv in deep_chain_golden_cases(f):

@@ -632,7 +632,8 @@ def _one_heavy_examples(f):
 
 
 class TestQuotientOneSteps:
-    """Each continued-fraction step takes quotient 1 by subtraction alone;
+    """Every continued-fraction step on paths heavy in 1s, where the
+    parent and child steps take quotient 1 by a branch of their own;
     the oracles are primitive products and Fraction arithmetic."""
 
     @_one_heavy_examples

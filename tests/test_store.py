@@ -260,6 +260,25 @@ class TestRecordHandles:
         foreign = chain_store("3.1", "4").resolve("3")
         self.check_missing(st, foreign, op)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda st: st.descendants("1"),
+            lambda st: st.ancestors(Path([1])),
+            lambda st: st.delete_subtree(None),
+            lambda st: st.move_subtree("1", "root"),
+        ],
+        ids=["descendants", "ancestors", "delete_subtree", "move_subtree"],
+    )
+    def test_non_record_handle_is_a_type_error(self, call):
+        """Methods that take a record, not a reference, reject anything
+        else as children() rejects a reference of the wrong type."""
+        st = chain_store("1.1", "4")
+        before = self.contents(st)
+        with pytest.raises(TypeError):
+            call(st)
+        assert self.contents(st) == before
+
 
 class TestRecordLayout:
     """A record holds its matrix's four entries, not a MobiusMatrix;
@@ -585,6 +604,10 @@ class TestPersistence:
         expect_error("mobius-tree v1\n37\t3\t12\t1\tx\n", 2)
         # a parent step that matrix_to_path would never finish decoding
         expect_error("mobius-tree v1\n0\t1\t2\t3\tx\n", 2)
+        # (1, 1, 0, 1) is no node: the parent step's a - b < b branch
+        # sends it to (1, 0, 1, -1), while the division alone would put
+        # it in slot 0 of node 1, which the file holds
+        expect_error("mobius-tree v1\n1\t1\t1\t0\tone\n1\t1\t0\t1\tbad\n", 3)
 
     def test_entries_past_the_int_str_limit(self, tmp_path):
         big = 10**5000
