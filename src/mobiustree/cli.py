@@ -156,9 +156,11 @@ def _write_lock(file: str):
     """Hold an exclusive flock on the sidecar "<file>.lock", so that
     concurrent mutating commands on one store take turns from load to
     save and none loses another's update.  The store file itself is
-    replaced by each save, so it cannot carry the lock."""
+    replaced by each save, so it cannot carry the lock.  The sidecar
+    sits beside the file that symlinks resolve to, as the save does, so
+    every name of one store takes one lock."""
     try:
-        fd = os.open(file + ".lock", os.O_RDWR | os.O_CREAT, 0o644)
+        fd = os.open(os.path.realpath(file) + ".lock", os.O_RDWR | os.O_CREAT, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
         except OSError:

@@ -12,6 +12,8 @@ arithmetic; inserts never touch existing keys.  Each record keeps its
 own occupied child slots, so a subtree is walked down through them, one
 child step per record, and deleting or relocating it needs no index (a
 move gives each record the child step of its parent's new entries).
+A leaf's slots are the one shared empty tuple, so it answers
+descendants and children from its own record, with no index search.
 Each record also holds an owner token, the store's root sentinel while
 the store holds it and None once deleted, so a handle is checked by one
 identity test, with no lookup.
@@ -108,11 +110,13 @@ class NodeRecord:
     matrix's entries, the tuple that keys the store's _records; matrix
     is a read-only view of it.  move_subtree re-keys records in place,
     so handles stay valid.  _kids holds the node's occupied child slots,
-    ascending (empty for a leaf).  _parent is the parent record, or the
-    store's _root sentinel for a top-level node (None on the sentinel);
-    references point from child to parent only, so they form no cycles.
-    _low is the record's sort key in the store's index (see _low_key),
-    or 0 while the store's keys are stale.  _owner is the _root sentinel
+    ascending, in a list made at its first child; a leaf holds the
+    shared empty tuple instead, so it costs the garbage collector no
+    second object.  _parent is the parent record, or the store's _root
+    sentinel for a top-level node (None on the sentinel); references
+    point from child to parent only, so they form no cycles.  _low is
+    the record's sort key in the store's index (see _low_key), or 0
+    while the store's keys are stale.  _owner is the _root sentinel
     of the store that holds the record, set at insert and load, kept by
     a move and cleared to None by a delete; the sentinel refers to no
     record, so the token makes no cycle either (None on the sentinel).
@@ -130,7 +134,7 @@ class NodeRecord:
     ):
         self._key = key
         self.payload = payload
-        self._kids: list[int] = []
+        self._kids: list[int] | tuple[()] = ()
         self._parent = parent
         self._low = low
         self._owner = owner
@@ -217,6 +221,15 @@ _LOW = attrgetter("_low")
 # descendants() looks for a subtree's end among this many index entries
 # past its start before it bisects the rest of the index
 _END_WINDOW = 16
+
+
+def _occupy(parent: NodeRecord, slot: int) -> None:
+    """Add a free slot to parent's child slots, making its list if
+    parent held the shared empty tuple."""
+    if parent._kids:
+        bisect.insort(parent._kids, slot)
+    else:
+        parent._kids = [slot]
 
 
 class TreeStore:
@@ -309,12 +322,17 @@ class TreeStore:
         under the entries the records end with (slots ascending under
         det +1, descending under det -1, the sign alternating by depth),
         so the returned list is close to index order.  Only node's own
-        slot is dropped from its parent's list; every record keeps its
+        slot is dropped from its parent's list, and a parent left with
+        none gets the shared empty tuple back; every record keeps its
         own.  Without base the records are deleted, and each loses its
         owner token."""
         records = self._records
-        siblings = node._parent._kids
-        del siblings[bisect.bisect_left(siblings, _parent_and_slot(*node._key)[1])]
+        parent = node._parent
+        siblings = parent._kids
+        if len(siblings) == 1:
+            parent._kids = ()
+        else:
+            del siblings[bisect.bisect_left(siblings, _parent_and_slot(*node._key)[1])]
         out = []
         # (old key, new key, det of the new one)
         stack = [(node._key, base, _det_sign(*(base or node._key)))]
@@ -406,6 +424,8 @@ class TreeStore:
         and reverses it for -1, so the slots sorted that way give the
         interval order."""
         rec = self._resolve_parent_ref(parent)
+        if not rec._kids:
+            return []
         slots = rec._kids if _det_sign(*rec._key) == 1 else reversed(rec._kids)
         return self._records_at(rec, slots)
 
@@ -423,20 +443,22 @@ class TreeStore:
         high endpoint is computed here, at the index's shift.
 
         The node's owner token is checked first, so a stale or foreign
-        handle raises before any sort.  One bisect finds the slice start
-        i, the first record past both records that can share the node's
-        low endpoint.  A leaf's slice is empty, by parent closure.
-        Otherwise the end is found within the _END_WINDOW records after
-        i, where most subtrees end, or by a bisect past them: one probe
-        at i + _END_WINDOW picks the side.
+        handle raises before any sort.  A leaf's slice is empty, by
+        parent closure, so a node with no child slots answers a new
+        empty list after the index is current, with no search.
+        Otherwise one bisect finds the slice start i, the first record
+        past both records that can share the node's low endpoint, and
+        the end is found within the _END_WINDOW records after i, where
+        most subtrees end, or by a bisect past them: one probe at
+        i + _END_WINDOW picks the side.
         """
         self._require(node)
         idx = self._ensure_index()
-        low = node._low
-        i = bisect.bisect_left(idx, (low | 1) + 1, key=_LOW)
         kids = node._kids
         if not kids:
             return []
+        low = node._low
+        i = bisect.bisect_left(idx, (low | 1) + 1, key=_LOW)
         a, b, c, d = node._key
         k = self._shift
         # the closed bit is det +1: [(a+b)/(c+d), a/c), else (a/c, (a+b)/(c+d)]
@@ -502,7 +524,7 @@ class TreeStore:
         key = _child_entries(*parent._key, slot)
         rec = NodeRecord(key, payload, parent, self._low_for(key), self._root)
         self._records[key] = rec
-        bisect.insort(parent._kids, slot)
+        _occupy(parent, slot)
         self._unsorted = True
         return rec
 
@@ -539,7 +561,7 @@ class TreeStore:
             # keep the moved records one sorted run for the index sort
             moved.sort(key=_LOW)
         self._records.update((rec._key, rec) for rec in moved)
-        bisect.insort(parent._kids, slot)
+        _occupy(parent, slot)
         return len(moved)
 
     # -- persistence ------------------------------------------------------
@@ -550,27 +572,29 @@ class TreeStore:
 
         The temp file is fsynced before the rename and the directory
         after it, so a crash leaves the old file or the new one, never
-        an empty or partial one."""
-        destination = FsPath(destination)
+        an empty or partial one.  The destination is resolved through
+        symlinks first, and the rename replaces the file they name, so
+        a symlink stays a symlink."""
+        target = FsPath(os.path.realpath(destination))
         lines = [FILE_HEADER]
         for rec in self._ensure_index():
             lines.append("\t".join([*map(to_decimal, rec._key), escape_payload(rec.payload)]))
         data = ("\n".join(lines) + "\n").encode()
-        directory = destination.parent
+        directory = target.parent
         try:
             fd, tmp = tempfile.mkstemp(
-                dir=directory, prefix=destination.name + ".", suffix=".tmp"
+                dir=directory, prefix=target.name + ".", suffix=".tmp"
             )
             try:
                 with os.fdopen(fd, "wb") as f:
                     f.write(data)
                     try:
-                        os.chmod(tmp, stat.S_IMODE(os.stat(destination).st_mode))
+                        os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
                     except FileNotFoundError:
                         pass  # a new file keeps mkstemp's owner-only mode
                     f.flush()
                     os.fsync(f.fileno())
-                os.replace(tmp, destination)
+                os.replace(tmp, target)
             except BaseException:
                 os.unlink(tmp)
                 raise
@@ -643,8 +667,12 @@ class TreeStore:
                 entries = ",".join(map(_excerpt, lines[lineno - 1].split("\t")[:4]))
                 raise LoadError(lineno, f"matrix {entries} has no parent in the file")
             rec._parent = parent
-            parent._kids.append(slot)
+            if parent._kids:
+                parent._kids.append(slot)
+            else:
+                parent._kids = [slot]
         # a det -1 parent's slots arrive in descending order
         for rec in (root, *store):
-            rec._kids.sort()
+            if rec._kids:
+                rec._kids.sort()
         return store

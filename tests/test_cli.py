@@ -177,6 +177,41 @@ class TestStoreCommands:
         assert "already exists" in capsys.readouterr().err
         assert f.read_bytes() == before
 
+    def test_add_through_a_symlink(self, tmp_path, capsys):
+        """A store named through a symlink is saved into the file the
+        link names and the link stays; the write lock sits beside that
+        file, so both names of the store take turns."""
+        import fcntl
+        import threading
+        import time
+
+        (tmp_path / "real").mkdir()
+        real = tmp_path / "real" / "s.db"
+        link = tmp_path / "link.db"
+        assert main(["init", str(real)]) == 0
+        link.symlink_to("real/s.db")
+        before = real.read_bytes()
+        codes = []
+        add = threading.Thread(
+            target=lambda: codes.append(main(["add", str(link), "--parent", "root", "--payload", "x"]))
+        )
+        fd = os.open(str(real) + ".lock", os.O_RDWR)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            add.start()
+            time.sleep(0.2)
+            assert add.is_alive()
+            assert real.read_bytes() == before
+        finally:
+            os.close(fd)  # releases the lock
+        add.join(timeout=10)
+        assert not add.is_alive()
+        assert codes == [0]
+        assert link.is_symlink()
+        assert not (tmp_path / "link.db.lock").exists()
+        capsys.readouterr()
+        assert run(capsys, "ls", str(real)) == (0, "1\t1/1\tx\n", "")
+
     def test_add_prints_record(self, tmp_path, capsys):
         f = str(tmp_path / "x.db")
         main(["init", f])

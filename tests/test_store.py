@@ -199,7 +199,8 @@ class TestResolveAndQueries:
 
     def test_results_belong_to_the_caller(self):
         """Emptying or growing a returned list changes no later answer:
-        no query hands out the index itself."""
+        no query hands out the index itself, and a leaf answers a new
+        empty list each time."""
         st = chain_store("3.2.1.5", "3.4", "5")
         queries = {
             "all_nodes": st.all_nodes,
@@ -208,6 +209,9 @@ class TestResolveAndQueries:
             "descendants": lambda: st.descendants(st.resolve("3")),
             # det +1 with a slot-1 child, which comes first
             "descendants of 3.2": lambda: st.descendants(st.resolve("3.2")),
+            "children of a leaf": lambda: st.children("3.4"),
+            "descendants of a leaf": lambda: st.descendants(st.resolve("5")),
+            "children of an empty store's root": TreeStore().children,
         }
         want = {name: [r.payload for r in query()] for name, query in queries.items()}
         assert want["descendants of 3.2"] == ["3.2.1", "3.2.1.5"]
@@ -280,6 +284,45 @@ class TestRecordHandles:
         assert self.contents(st) == before
 
 
+class TestLeafAnswers:
+    """A record with no child slots answers descendants and children
+    from its own record, with no index search, after the same handle
+    checks as any other record."""
+
+    @pytest.mark.parametrize("query", ["descendants", "children"])
+    def test_missing_leaf_handles_still_raise(self, query):
+        st = chain_store("3.1", "4")
+        stale = st.resolve("3.1")
+        st.delete_subtree(stale)
+        st.add_child("3", "new", index=1)
+        foreign = chain_store("3.1", "4").resolve("4")
+        for handle in (stale, foreign):
+            with pytest.raises(MissingNodeError):
+                getattr(st, query)(handle)
+        with pytest.raises(TypeError):
+            getattr(st, query)(object())
+
+    def test_a_leaf_needs_no_index_search(self, monkeypatch):
+        """With the store's bisect and child lookup broken, a leaf still
+        answers; its descendants query still sorts the index a mutation
+        left unsorted, as every descendants query does."""
+        st = chain_store("3.2.1.5", "3.4")
+        st.add_child("3.4", "leaf", index=7)
+        assert st._unsorted
+
+        def broken(*args, **kwargs):
+            raise AssertionError("index search")
+
+        monkeypatch.setattr(store_module.bisect, "bisect_left", broken)
+        monkeypatch.setattr(TreeStore, "_records_at", broken)
+        leaf = st.resolve("3.4.7")
+        assert st.descendants(leaf) == []
+        assert not st._unsorted
+        assert st.children(leaf) == []
+        with pytest.raises(AssertionError):
+            st.descendants(st.resolve("3.4"))
+
+
 class TestRecordLayout:
     """A record holds its matrix's four entries, not a MobiusMatrix;
     rec.matrix is a read-only view of them."""
@@ -317,17 +360,48 @@ class TestRecordLayout:
         assert rec.matrix == path_to_matrix(Path([4, 7, 2, 5, 1]))
         assert st.resolve("4.7.2.5.1") is rec
 
-    def test_two_tracked_objects_per_record(self):
-        """The garbage collector tracks each record and its child-slot
-        list, and nothing else per record: the index is the records
-        themselves, with no entry object around each."""
+    def test_tracked_objects_are_records_and_parents_slot_lists(self):
+        """The garbage collector tracks each record, and the child-slot
+        list of each record with children, and nothing else per record:
+        the index is the records themselves, with no entry object around
+        each, and leaves share the untracked empty tuple."""
         paths = random_forest(random.Random(7), 5000)
         gc.collect()
         before = len(gc.get_objects())
         st = build_store_from_paths(TreeStore, paths)
         st.all_nodes()
         gc.collect()
-        assert len(gc.get_objects()) - before <= 2 * len(st) + 100
+        parents = sum(1 for rec in st if rec._kids)
+        assert parents < 0.6 * len(st)  # about half the records are leaves
+        assert len(gc.get_objects()) - before <= len(st) + parents + 100
+
+    def test_leaves_hold_the_empty_tuple(self, tmp_path):
+        """A childless record holds (), and a list is made at its first
+        child and dropped with its last, by a delete or a move."""
+
+        def check(store):
+            parents = {id(rec._parent) for rec in store}
+            for rec in (store._root, *store):
+                if id(rec) in parents:
+                    assert isinstance(rec._kids, list) and rec._kids
+                else:
+                    assert rec._kids == ()
+
+        st = TreeStore()
+        check(st)
+        st = chain_store("3.12.5", "4.7", "5.1", "6")
+        check(st)
+        st.delete_subtree(st.resolve("3.12.5"))  # 3.12's last child
+        st.move_subtree(st.resolve("4.7"), "6")  # 4's last child, 6's first
+        st.move_subtree(st.resolve("5.1"), "5", index=3)  # 5's only child, in place
+        check(st)
+        assert st.resolve("3.12")._kids == st.resolve("4")._kids == ()
+        assert st.resolve("6")._kids == [1] and st.resolve("5")._kids == [3]
+        st.save(tmp_path / "s.db")
+        check(TreeStore.load(tmp_path / "s.db"))
+        for rec in st.children():
+            st.delete_subtree(rec)
+        check(st)
 
     @pytest.mark.parametrize("case", ["built", "loaded", "deleted_handle_held"])
     def test_a_dropped_store_is_freed_without_the_cycle_collector(self, case, tmp_path):
@@ -673,6 +747,24 @@ class TestPersistence:
         st.save(f)
         assert len(TreeStore.load(f)) == 2
         assert list(tmp_path.iterdir()) == [f]  # no temp leftovers
+
+    def test_save_through_a_symlink_writes_its_target(self, tmp_path):
+        """A save resolves the destination first: the link stays a link,
+        the file it names gets the new records and keeps its mode, and
+        no temp file is left beside either name."""
+        (tmp_path / "real").mkdir()
+        real = tmp_path / "real" / "s.db"
+        link = tmp_path / "link.db"
+        chain_store("3").save(real)
+        os.chmod(real, 0o640)
+        link.symlink_to("real/s.db")
+        st = TreeStore.load(link)
+        st.add_child("root", "new", index=9)
+        st.save(link)
+        assert link.is_symlink() and os.readlink(link) == "real/s.db"
+        assert paths_of(TreeStore.load(real)) == ["3", "9"]
+        assert stat.S_IMODE(real.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["link.db", "real", "s.db"]
 
     def test_save_syncs_the_file_before_the_rename_and_the_directory_after(
         self, tmp_path, monkeypatch
