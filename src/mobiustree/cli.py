@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import fcntl
 import functools
+import gc
 import os
 import re
 import sys
@@ -280,6 +281,21 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; returns its exit code.  The cyclic garbage
+    collector is off while it runs: a store's records form no cycles, so
+    reference counting frees them, and a load would otherwise set off
+    collections that rescan the records it has made.  The collector's
+    previous state is restored on return."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -439,8 +439,10 @@ class TreeStore:
         descendant, and one whose low endpoint is the node's high
         endpoint is not.  The one other record that shares the node's
         low endpoint is a det +1 node's slot-1 child, open there: it
-        sorts two places before the slice and comes first.  The node's
-        high endpoint is computed here, at the index's shift.
+        sorts just before the node, so the one slice copied starts at
+        the node's own place, and the child takes the node's place at
+        its head.  The node's high endpoint is computed here, at the
+        index's shift.
 
         The node's owner token is checked first, so a stale or foreign
         handle raises before any sort.  A leaf's slice is empty, by
@@ -469,7 +471,9 @@ class TreeStore:
         else:
             j = bisect.bisect_left(idx, end, i, min(p, len(idx)), key=_LOW)
         if low & 1 and kids[0] == 1:
-            return [idx[i - 2], *idx[i:j]]
+            out = idx[i - 1 : j]
+            out[0] = idx[i - 2]
+            return out
         return idx[i:j]
 
     def ancestors(self, node: NodeRecord) -> list[NodeRecord]:

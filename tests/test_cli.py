@@ -1,4 +1,7 @@
+import errno
+import gc
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path as FsPath
@@ -428,6 +431,27 @@ class TestStoreCommands:
         assert code == 0
         assert stat.S_IMODE(os.stat(store_file).st_mode) == mode
 
+    def test_a_failing_directory_fsync_exits_4_with_the_new_store_in_place(
+        self, store_file, capsys, monkeypatch
+    ):
+        """The directory fsync follows the rename, so when it fails the
+        new store is in place, and the save still fails: add exits 4."""
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError(errno.EIO, "injected failure")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        code, out, err = run(capsys, "add", store_file, "--parent", "4.7", "--payload", "kid")
+        monkeypatch.undo()
+        assert (code, out) == (4, "")
+        assert err.startswith("error: cannot write") and "injected failure" in err
+        code, out, _ = run(capsys, "ls", store_file, "--node", "4.7")
+        assert code == 0
+        assert [line.split("\t")[::2] for line in out.splitlines()] == [["4.7.1", "kid"]]
+
     def test_store_commands_print_huge_slots(self, tmp_path, capsys):
         from mobiustree import TreeStore
 
@@ -547,6 +571,60 @@ class TestStoreCommands:
             assert paths[int(payload)] == p
 
 
+class TestCyclicCollector:
+    """main() runs with the cyclic garbage collector off and leaves it
+    as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_main_restores_the_collector_state(self, store_file, capsys, monkeypatch, enabled):
+        from mobiustree import TreeStore
+
+        def crash(*args):
+            raise RuntimeError("unexpected")
+
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for argv, code in [
+                (["ls", store_file], 0),
+                (["no-such-command"], 2),
+                (["encode", "--path", "0"], 3),
+                (["ls", store_file + ".missing"], 4),
+            ]:
+                assert main(argv) == code
+                assert gc.isenabled() is enabled
+            monkeypatch.setattr(TreeStore, "load", crash)
+            with pytest.raises(RuntimeError):
+                main(["ls", store_file])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        capsys.readouterr()
+
+    def test_a_load_runs_no_collection(self, tmp_path, capsys):
+        """Loading a few thousand records would set off collections of
+        the youngest generation; with the collector off none runs."""
+        from mobiustree import TreeStore
+
+        f = str(tmp_path / "s.db")
+        st = TreeStore()
+        for _ in range(5000):
+            st.add_child("root", "")
+        st.save(f)
+        del st
+        events = []
+
+        def on_gc(phase, info):
+            events.append((phase, info["generation"]))
+
+        gc.callbacks.append(on_gc)
+        try:
+            code = main(["ls", f, "--node", "1"])
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert (code, events) == (0, [])
+
+
 # (golden file, command, arguments after the store file) on store_file's
 # store, the one CI builds as g.db for the installed console script
 STORE_GOLDEN_CASES = [
@@ -595,6 +673,8 @@ def deep_chain_golden_cases(filename):
         ("decode_ones300.txt", ["decode", "--interval", f"[{a + b}/{c + d}, {a}/{c})"]),
         ("ancestors_chain300.txt", ["ancestors", filename, "--node", ONES]),
         ("descendants_chain300.txt", ["descendants", filename, "--node", "1"]),
+        # det +1 with slots [1, 2]: its slot-1 child heads the slice
+        ("descendants_chain300_1_1.txt", ["descendants", filename, "--node", "1.1"]),
         ("tree_chain300.txt", ["tree", filename]),
     ]
 

@@ -1,10 +1,12 @@
 import bisect
+import errno
 import gc
 import itertools
 import os
 import random
 import stat
 import sys
+import tempfile
 import weakref
 from fractions import Fraction
 from pathlib import Path as FsPath
@@ -559,6 +561,57 @@ class TestDeleteSubtree:
             st.resolve("3.12")
 
 
+# the steps of TreeStore.save, in the order it takes them
+SAVE_STEPS = [
+    "mkstemp",
+    "write",
+    "chmod",
+    "file fsync",
+    "replace",
+    "directory open",
+    "directory fsync",
+]
+
+
+def fail_save_step(monkeypatch, step):
+    """Make one step of a save raise OSError, leaving every other call
+    to the same function alone (mkstemp opens its file with os.open, and
+    the file and the directory share os.fsync)."""
+
+    def is_dir(fd):
+        return stat.S_ISDIR(os.fstat(fd).st_mode)
+
+    def fail(*args, **kwargs):
+        raise OSError(errno.EIO, f"injected {step} failure")
+
+    if step == "write":
+        real_fdopen = os.fdopen
+
+        def fdopen(fd, mode):
+            f = real_fdopen(fd, mode)
+            f.write = fail
+            return f
+
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        return
+    module, name, fails = {
+        "mkstemp": (tempfile, "mkstemp", lambda *args, **kwargs: True),
+        "chmod": (os, "chmod", lambda *args: True),
+        "file fsync": (os, "fsync", lambda fd: not is_dir(fd)),
+        "replace": (os, "replace", lambda *args: True),
+        "directory open": (os, "open", lambda path, *args, **kwargs: os.path.isdir(path)),
+        "directory fsync": (os, "fsync", is_dir),
+    }[step]
+    real = getattr(module, name)
+
+    def call(*args, **kwargs):
+        if fails(*args, **kwargs):
+            fail()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, call)
+
+
 class TestPersistence:
     def test_empty_roundtrip(self, tmp_path):
         f = tmp_path / "s.db"
@@ -793,6 +846,34 @@ class TestPersistence:
         st.save(f)
         assert calls == [("fsync file", True), ("replace", True), ("fsync dir", True)]
         assert f.stat().st_size == size
+
+    @pytest.mark.parametrize("step", SAVE_STEPS)
+    def test_a_failing_save_step_raises_store_error(self, tmp_path, monkeypatch, step):
+        """Each step of a save fails in turn.  Before the rename the old
+        file keeps its bytes, mode and inode, and no temp file is left.
+        The directory's open and fsync come after the rename: the new
+        bytes are in place, and the save still raises, since the rename
+        may not survive a crash."""
+        f = tmp_path / "s.db"
+        chain_store("3").save(f)
+        os.chmod(f, 0o640)
+        old = f.read_bytes()
+        old_ino = f.stat().st_ino
+        st = chain_store("3.12", "4")
+        st.save(tmp_path / "want")
+        new = (tmp_path / "want").read_bytes()
+        (tmp_path / "want").unlink()
+        fail_save_step(monkeypatch, step)
+        with pytest.raises(StoreError, match=f"cannot write .*injected {step} failure"):
+            st.save(f)
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == [f]
+        assert stat.S_IMODE(f.stat().st_mode) == 0o640
+        if step.startswith("directory"):
+            assert f.read_bytes() == new
+        else:
+            assert f.read_bytes() == old
+            assert f.stat().st_ino == old_ino
 
 
 class TestIndexOrderOracle:
