@@ -2,8 +2,16 @@
 plus store manipulation with stable, scriptable text output.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (invalid encoding
-or value), 4 store error.  Mutating commands rewrite the store file
-atomically, each holding an exclusive lock from load to save.
+or value), 4 store error.  A stdout whose reader has gone ends the
+command with 0 and no message, after any change is saved; any other
+failure to write stdout exits 4.  Mutating commands rewrite the store
+file atomically, each holding an exclusive lock from load to save.
+
+Each command returns its output lines, and _run alone writes them.
+A listed record's path is its parent's path plus its slot: the
+record's parent references are climbed to the nearest record whose
+path is already known, the root's at the furthest, so records may be
+listed in any order.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import gc
 import os
 import re
 import sys
+from typing import Iterable, Iterator
 
 from .exactmath import DomainError, Ratio, _excerpt, _unchecked_ratio, from_decimal, to_decimal
 from .encoding import (
@@ -100,15 +109,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _print_node_report(m: MobiusMatrix, out) -> None:
+def _node_report(m: MobiusMatrix) -> list[str]:
     path = matrix_to_path(m)
     label = "-" if m.is_identity else str(_unchecked_ratio(m.a, m.c))
-    print(f"path: {path}", file=out)
-    print(f"ratio: {label}", file=out)
-    print(f"matrix: {m}", file=out)
-    print(f"interval: {matrix_to_interval(m)}", file=out)
-    print(f"depth: {len(path)}", file=out)
-    print(f"determinant: {m.det}", file=out)
+    return [
+        f"path: {path}",
+        f"ratio: {label}",
+        f"matrix: {m}",
+        f"interval: {matrix_to_interval(m)}",
+        f"depth: {len(path)}",
+        f"determinant: {m.det}",
+    ]
 
 
 def _record_line(path: str, rec: NodeRecord) -> str:
@@ -123,33 +134,48 @@ def _slot_of(rec: NodeRecord) -> str:
     return to_decimal(_parent_and_slot(*rec._key)[1])
 
 
-def _cmd_encode(args, out) -> int:
+def _path_lines(store: TreeStore, records: Iterable[NodeRecord]) -> Iterator[str]:
+    """Each record's line, with its parent's path plus its slot as its
+    path.  The record's parent references are climbed to the nearest
+    record whose path is known, the root's "" at the furthest, and each
+    record passed keeps its path, so records may come in any order and
+    no path is decoded from scratch."""
+    path_of = {store._root: ""}
+    for rec in records:
+        climbed = []
+        while rec not in path_of:
+            climbed.append(rec)
+            rec = rec._parent
+        path = path_of[rec]
+        for rec in reversed(climbed):
+            slot = _slot_of(rec)
+            path = path_of[rec] = f"{path}.{slot}" if path else slot
+        yield _record_line(path, rec)
+
+
+def _cmd_encode(args) -> list[str]:
     if args.path is not None:
         m = path_to_matrix(Path.parse(args.path))
     elif args.ratio is not None:
         m = ratio_to_matrix(Ratio.parse(args.ratio))
     else:
         m = MobiusMatrix.parse(args.matrix)
-    _print_node_report(m, out)
-    return 0
+    return _node_report(m)
 
 
-def _cmd_decode(args, out) -> int:
+def _cmd_decode(args) -> list[str]:
     m = interval_to_matrix(NestedInterval.parse(args.interval))
     path = matrix_to_path(m)
     label = "-" if m.is_identity else str(_unchecked_ratio(m.a, m.c))
-    print(f"matrix: {m}", file=out)
-    print(f"path: {path}", file=out)
-    print(f"ratio: {label}", file=out)
-    return 0
+    return [f"matrix: {m}", f"path: {path}", f"ratio: {label}"]
 
 
-def _cmd_init(args, out) -> int:
+def _cmd_init(args) -> list[str]:
     with _write_lock(args.file):
         if os.path.exists(args.file):
             raise StoreError(f"{args.file} already exists")
         TreeStore().save(args.file)
-    return 0
+    return []
 
 
 @contextlib.contextmanager
@@ -175,94 +201,64 @@ def _write_lock(file: str):
         os.close(fd)  # releases the lock
 
 
-def _cmd_add(args, out) -> int:
+def _cmd_add(args) -> Iterator[str]:
     with _write_lock(args.file):
         store = TreeStore.load(args.file)
         rec = store.add_child(args.parent, args.payload, index=args.index)
         store.save(args.file)
-    print(_record_line(str(matrix_to_path(rec.matrix)), rec), file=out)
-    return 0
+    return _path_lines(store, [rec])
 
 
-def _cmd_mv(args, out) -> int:
+def _cmd_mv(args) -> list[str]:
     with _write_lock(args.file):
         store = TreeStore.load(args.file)
         src = store.resolve(args.node)
         count = store.move_subtree(src, args.to, index=args.index)
         store.save(args.file)
-    print(f"moved: {count}", file=out)
-    return 0
+    return [f"moved: {count}"]
 
 
-def _cmd_rm(args, out) -> int:
+def _cmd_rm(args) -> list[str]:
     with _write_lock(args.file):
         store = TreeStore.load(args.file)
         count = store.delete_subtree(store.resolve(args.node))
         store.save(args.file)
-    print(f"removed: {count}", file=out)
-    return 0
+    return [f"removed: {count}"]
 
 
-def _cmd_ls(args, out) -> int:
+def _cmd_ls(args) -> Iterator[str]:
     store = TreeStore.load(args.file)
-    path = Path.parse(args.node)
-    # each child's path is the node's plus its slot
-    prefix = f"{path}." if path else ""
-    for rec in store.children(path):
-        print(_record_line(prefix + _slot_of(rec), rec), file=out)
-    return 0
+    return _path_lines(store, store.children(args.node))
 
 
-def _cmd_tree(args, out) -> int:
+def _cmd_tree(args) -> Iterator[str]:
     store = TreeStore.load(args.file)
     # explicit stack: store depth is unbounded, recursion is not
     stack = [(rec, 0) for rec in reversed(store.children(ROOT))]
     while stack:
         rec, level = stack.pop()
-        print(_record_line("  " * level + _slot_of(rec), rec), file=out)
+        yield _record_line("  " * level + _slot_of(rec), rec)
         stack.extend((kid, level + 1) for kid in reversed(store.children(rec)))
-    return 0
 
 
-def _cmd_ancestors(args, out) -> int:
+def _cmd_ancestors(args) -> Iterator[str]:
     store = TreeStore.load(args.file)
-    # each path is the one printed before it plus the record's slot, so
-    # no line decodes a path from scratch
-    path = ""
-    for rec in store.ancestors(store.resolve(args.node)):
-        slot = _slot_of(rec)
-        path = f"{path}.{slot}" if path else slot
-        print(_record_line(path, rec), file=out)
-    return 0
+    return _path_lines(store, store.ancestors(store.resolve(args.node)))
 
 
-def _cmd_descendants(args, out) -> int:
+def _cmd_descendants(args) -> Iterator[str]:
     store = TreeStore.load(args.file)
-    path = Path.parse(args.node)
-    node = store.resolve(path)
-    # each record's path is its parent's plus its slot.  The slice puts
-    # parents before children with one exception: a det +1 node's slot-1
-    # child shares its low endpoint, open there, and so sorts just
-    # before it.  That child fills in the parent's path from the
-    # grandparent's, which is already known.
-    path_of = {node: str(path)}
-    for rec in store.descendants(node):
-        if rec not in path_of:
-            parent = rec._parent
-            if parent not in path_of:
-                path_of[parent] = f"{path_of[parent._parent]}.{_slot_of(parent)}"
-            path_of[rec] = f"{path_of[parent]}.{_slot_of(rec)}"
-        print(_record_line(path_of[rec], rec), file=out)
-    return 0
+    return _path_lines(store, store.descendants(store.resolve(args.node)))
 
 
-def _cmd_stats(args, out) -> int:
+def _cmd_stats(args) -> list[str]:
     st = TreeStore.load(args.file).stats()
-    print(f"nodes: {st.nodes}", file=out)
-    print(f"max_depth: {st.max_depth}", file=out)
-    print(f"max_numerator_bits: {st.max_numerator_bits}", file=out)
-    print(f"max_key_bytes: {st.max_key_bytes}", file=out)
-    return 0
+    return [
+        f"nodes: {st.nodes}",
+        f"max_depth: {st.max_depth}",
+        f"max_numerator_bits: {st.max_numerator_bits}",
+        f"max_key_bytes: {st.max_key_bytes}",
+    ]
 
 
 _COMMANDS = {
@@ -296,18 +292,31 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
+    """Parse argv, run its command and write the lines it returns: the
+    one place that writes stdout or maps a failure to an exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        return _COMMANDS[args.command](args, sys.stdout)
-    except DomainError as e:
+        for line in _COMMANDS[args.command](args):
+            print(line)
+        sys.stdout.flush()
+        return 0
+    except (DomainError, StoreError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except StoreError as e:
-        print(f"error: {e}", file=sys.stderr)
+        return 3 if isinstance(e, DomainError) else 4
+    except OSError as e:
+        # the store turns its own I/O failures into StoreError, so this
+        # is stdout's.  What it still buffers goes to os.devnull, so the
+        # interpreter's closing flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(e, BrokenPipeError):  # the reader wants no more
+            return 0
+        print(f"error: cannot write output: {e}", file=sys.stderr)
         return 4
 
 

@@ -285,6 +285,13 @@ class TestStoreCommands:
         code, out, _ = run(capsys, "ls", store_file, "--node", "9.9")
         assert (code, out) == (4, "")
 
+    def test_a_missing_node_is_quoted_alike(self, store_file, capsys):
+        """Every --node that must name a record is resolved one way, so
+        each command quotes the caller's own text."""
+        for argv in (["ancestors"], ["descendants"], ["rm"], ["mv", "--to", "root"]):
+            code, out, err = run(capsys, argv[0], store_file, "--node", "09.9", *argv[1:])
+            assert (code, out, err) == (4, "", "error: no node at 09.9\n"), argv
+
     def test_ls_empty_node_is_the_root(self, store_file, capsys):
         code, out, _ = run(capsys, "ls", store_file, "--node", "")
         assert code == 0
@@ -659,9 +666,10 @@ def save_chain_store(filename):
     st.save(filename)
 
 
-def deep_chain_golden_cases(filename):
-    """(golden file, argv) of every deep-chain golden; filename must
-    hold save_chain_store's store.  The all-ones path is the Fibonacci
+def deep_chain_golden_cases(filename, add_filename):
+    """(golden file, argv) of every deep-chain golden; filename and
+    add_filename must each hold save_chain_store's store, and only the
+    add case changes add_filename.  The all-ones path is the Fibonacci
     worst case of key size, and every step on it has quotient 1."""
     from oracles import fib, primitive_product
 
@@ -676,6 +684,8 @@ def deep_chain_golden_cases(filename):
         # det +1 with slots [1, 2]: its slot-1 child heads the slice
         ("descendants_chain300_1_1.txt", ["descendants", filename, "--node", "1.1"]),
         ("tree_chain300.txt", ["tree", filename]),
+        # a new node at CHAIN_DEPTH + 1 components
+        ("add_chain300.txt", ["add", add_filename, "--parent", ONES, "--payload", f"c{CHAIN_DEPTH + 1}"]),
     ]
 
 
@@ -683,9 +693,10 @@ def test_deep_chain_golden_outputs(tmp_path, capsys):
     """Byte-exact output on a 300-deep all-ones path and chain store;
     the goldens were written by the long-division steps, before any
     step had a quotient-1 branch."""
-    f = str(tmp_path / "chain.db")
+    f, add_f = str(tmp_path / "chain.db"), str(tmp_path / "chain_add.db")
     save_chain_store(f)
-    for golden_name, argv in deep_chain_golden_cases(f):
+    save_chain_store(add_f)
+    for golden_name, argv in deep_chain_golden_cases(f, add_f):
         code, out, _ = run(capsys, *argv)
         assert code == 0, golden_name
         assert out == (GOLDEN_DIR / golden_name).read_text(), f"{golden_name} mismatch"
@@ -697,29 +708,59 @@ def test_deep_chain_golden_outputs(tmp_path, capsys):
 
 def test_exit_codes_of_a_real_process(tmp_path):
     """The process exit status, not only main()'s return value, carries
-    each documented code; failures print nothing on stdout."""
+    each documented code; failures print nothing on stdout.  A stdout
+    whose reader is gone ends the command with 0 and nothing on stderr,
+    after a mutation has saved; one that cannot take more exits 4."""
+    from mobiustree import TreeStore
+
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    big = TreeStore()
+    for _ in range(5000):
+        big.add_child("root", "")
+    big.save(tmp_path / "big.db")
+    closed = "closed pipe"
     cases = [
-        (["encode", "--path", "3.12"], 0),
-        (["no-such-command"], 2),
-        (["encode", "--path", "0"], 3),
-        (["ls", str(tmp_path / "nope.db")], 4),
+        (["encode", "--path", "3.12"], 0, subprocess.PIPE),
+        (["no-such-command"], 2, subprocess.PIPE),
+        (["encode", "--path", "0"], 3, subprocess.PIPE),
+        (["ls", str(tmp_path / "nope.db")], 4, subprocess.PIPE),
+        (["tree", "big.db"], 0, closed),
+        (["add", "big.db", "--parent", "root", "--payload", "piped"], 0, closed),
     ]
-    for argv, code in cases:
-        proc = subprocess.run(
-            [sys.executable, "-m", "mobiustree.cli", *argv],
-            capture_output=True,
-            text=True,
-            cwd=tmp_path,
-            env=env,
-        )
+    if os.path.exists("/dev/full"):
+        cases.append((["tree", "big.db"], 4, "/dev/full"))
+    for argv, code, stdout in cases:
+        if stdout == closed:
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+        elif stdout != subprocess.PIPE:
+            stdout = os.open(stdout, os.O_WRONLY)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mobiustree.cli", *argv],
+                stdout=stdout,
+                stderr=subprocess.PIPE,
+                text=True,
+                cwd=tmp_path,
+                env=env,
+            )
+        finally:
+            if stdout != subprocess.PIPE:
+                os.close(stdout)
         assert proc.returncode == code, (argv, proc.stderr)
-        if code == 0:
+        if stdout != subprocess.PIPE:
+            if code == 0:
+                assert proc.stderr == "", argv
+            else:
+                assert proc.stderr.startswith("error: cannot write output: ")
+                assert proc.stderr.count("\n") == 1, proc.stderr
+        elif code == 0:
             assert proc.stdout.startswith("path: 3.12\nratio: 37/12\n")
         elif code >= 3:
             assert proc.stdout == ""
             assert proc.stderr.startswith("error:")
+    assert TreeStore.load(tmp_path / "big.db").resolve("5001").payload == "piped"
 
 
 def test_concurrent_adds_keep_every_node(tmp_path):
