@@ -4,8 +4,10 @@ plus store manipulation with stable, scriptable text output.
 Exit codes: 0 success, 2 usage error, 3 domain error (invalid encoding
 or value), 4 store error.  A stdout whose reader has gone ends the
 command with 0 and no message, after any change is saved; any other
-failure to write stdout exits 4.  Mutating commands rewrite the store
-file atomically, each holding an exclusive lock from load to save.
+failure to write stdout, a line its encoding cannot hold included,
+exits 4.  Error messages quote a file name by an excerpt.  Mutating
+commands rewrite the store file atomically, each holding an exclusive
+lock from load to save.
 
 Each command returns its output lines, and _run alone writes them.
 A listed record's path is its parent's path plus its slot: the
@@ -38,7 +40,7 @@ from .encoding import (
     path_to_matrix,
     ratio_to_matrix,
 )
-from .store import ROOT, NodeRecord, StoreError, TreeStore, escape_payload
+from .store import ROOT, NodeRecord, StoreError, TreeStore, _os_store_error, escape_payload
 
 _SLOT_RE = re.compile(r"-?[0-9]+")
 
@@ -173,7 +175,7 @@ def _cmd_decode(args) -> list[str]:
 def _cmd_init(args) -> list[str]:
     with _write_lock(args.file):
         if os.path.exists(args.file):
-            raise StoreError(f"{args.file} already exists")
+            raise StoreError(f"{_excerpt(args.file)} already exists")
         TreeStore().save(args.file)
     return []
 
@@ -194,7 +196,7 @@ def _write_lock(file: str):
             os.close(fd)
             raise
     except OSError as e:
-        raise StoreError(f"cannot lock {file}: {e}") from e
+        raise _os_store_error("cannot lock", file, e) from e
     try:
         yield
     finally:
@@ -316,6 +318,11 @@ def _run(argv: list[str] | None) -> int:
         os.close(devnull)
         if isinstance(e, BrokenPipeError):  # the reader wants no more
             return 0
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return 4
+    except UnicodeEncodeError as e:
+        # a line stdout's encoding cannot hold: the store refuses any
+        # payload it could not save as UTF-8, so no command raises this
         print(f"error: cannot write output: {e}", file=sys.stderr)
         return 4
 

@@ -103,6 +103,13 @@ class LoadError(StoreError):
         self.line = line
 
 
+def _os_store_error(action: str, path: str | os.PathLike, e: OSError) -> StoreError:
+    """The StoreError for an OSError on path: the path excerpted, then the
+    OS's text for the error, which does not repeat the path, so a huge
+    file name cannot make a huge message."""
+    return StoreError(f"{action} {_excerpt(os.fspath(path))}: {_excerpt(e.strerror or str(e))}")
+
+
 class NodeRecord:
     """A stored node: a non-identity matrix plus an opaque UTF-8 payload.
 
@@ -608,7 +615,7 @@ class TreeStore:
             finally:
                 os.close(dir_fd)
         except OSError as e:
-            raise StoreError(f"cannot write {destination}: {e}") from e
+            raise _os_store_error("cannot write", destination, e) from e
 
     @classmethod
     def load(cls, source: str | FsPath) -> "TreeStore":
@@ -628,9 +635,9 @@ class TreeStore:
             # no newline translation: a payload may hold a raw CR
             text = source.read_bytes().decode("utf-8")
         except OSError as e:
-            raise StoreError(f"cannot read {source}: {e}") from e
+            raise _os_store_error("cannot read", source, e) from e
         except UnicodeDecodeError as e:
-            raise StoreError(f"{source} is not UTF-8: {e}") from e
+            raise StoreError(f"{_excerpt(str(source))} is not UTF-8: {e}") from e
 
         lines = text.split("\n")
         if lines and lines[-1] == "":

@@ -8,7 +8,6 @@ import hashlib
 import random
 import time
 from contextlib import contextmanager
-from pathlib import Path as FsPath
 
 import pytest
 
@@ -38,8 +37,7 @@ from oracles import (
     is_proper_prefix,
     random_forest,
 )
-
-GOLDEN_DIR = FsPath(__file__).parent / "golden"
+from test_cli import golden_mismatches
 
 
 @contextmanager
@@ -268,38 +266,9 @@ def test_criterion_8_scale_smoke(tmp_path):
 
 def test_criterion_9_cli_golden_outputs(tmp_path, capsys):
     with criterion(9, "CLI golden outputs", 30.0):
-        f = str(tmp_path / "g.db")
-        assert cli_main(["init", f]) == 0
-        for parent_ref, index, payload in [
-            ("root", 3, "three"),
-            ("3", 12, "p12"),
-            ("3.12", 5, "p5"),
-            ("3.12.5", 1, "p1"),
-            ("3.12.5.1", 21, "deep"),
-            ("root", 4, "four"),
-            ("4", 7, "p7"),
-        ]:
-            assert cli_main(
-                ["add", f, "--parent", parent_ref, "--index", str(index), "--payload", payload]
-            ) == 0
-        capsys.readouterr()
 
-        def check(golden_name, argv):
-            assert cli_main(argv) == 0
-            out = capsys.readouterr().out
-            want = (GOLDEN_DIR / golden_name).read_text()
-            assert out == want, f"{golden_name} mismatch"
+        def run(argv):
+            return cli_main(argv), capsys.readouterr().out
 
-        check("encode_path_deep.txt", ["encode", "--path", "3.12.5.1.21"])
-        check("encode_path_3_12.txt", ["encode", "--path", "3.12"])
-        check("encode_ratio_deep.txt", ["encode", "--ratio", "4913/1594"])
-        check("encode_ratio_parent.txt", ["encode", "--ratio", "225/73"])
-        check("encode_matrix_sibling.txt", ["encode", "--matrix", "5138,225,1667,73"])
-        check("encode_matrix_4_7.txt", ["encode", "--matrix", "29,4,7,1"])
-        check("encode_matrix_fragment.txt", ["encode", "--matrix", "131,6,22,1"])
-        check("decode_deep.txt", ["decode", "--interval", "(4913/1594, 5138/1667]"])
-        check("decode_3_12.txt", ["decode", "--interval", "[40/13, 37/12)"])
-        check("decode_root.txt", ["decode", "--interval", "[1/1, inf)"])
-        check("ancestors_deep.txt", ["ancestors", f, "--node", "3.12.5.1.21"])
-        check("mv_subtree.txt", ["mv", f, "--node", "3.12.5", "--to", "4.7", "--index", "5"])
-        check("encode_path_moved.txt", ["encode", "--path", "4.7.5.1.21"])
+        mismatches = golden_mismatches(run, tmp_path)
+        assert not mismatches, "\n".join(mismatches)

@@ -1,3 +1,4 @@
+import difflib
 import errno
 import gc
 import os
@@ -9,6 +10,7 @@ from pathlib import Path as FsPath
 import pytest
 
 from mobiustree.cli import main
+from oracles import fib, primitive_product
 
 SRC = FsPath(__file__).resolve().parent.parent / "src"
 GOLDEN_DIR = FsPath(__file__).parent / "golden"
@@ -125,20 +127,9 @@ class TestEncodeDecode:
 
 
 @pytest.fixture
-def store_file(tmp_path, capsys):
+def store_file(tmp_path):
     f = str(tmp_path / "t.db")
-    assert main(["init", f]) == 0
-    for parent, index, payload in [
-        ("root", 3, "three"),
-        ("3", 12, "p12"),
-        ("3.12", 5, "p5"),
-        ("3.12.5", 1, "p1"),
-        ("3.12.5.1", 21, "deep"),
-        ("root", 4, "four"),
-        ("4", 7, "p7"),
-    ]:
-        assert main(["add", f, "--parent", parent, "--index", str(index), "--payload", payload]) == 0
-    capsys.readouterr()
+    save_example_store(f)
     return f
 
 
@@ -248,6 +239,10 @@ class TestStoreCommands:
             (["decode", "--interval", "(1/1, " + "9" * 100_000 + "/2]"], 3),
             (["decode", "--interval", "x" * 100_000], 3),
             (["decode", "--interval", "(" + "," * 100_000 + ")"], 3),
+            (["init", "x" * 100_000], 4),
+            (["add", "x" * 100_000, "--parent", "root"], 4),
+            (["ls", "x" * 100_000], 4),
+            (["stats", "x" * 100_000], 4),
         ],
         ids=[
             "add-index-below-1",
@@ -262,6 +257,10 @@ class TestStoreCommands:
             "not-an-encoding-interval",
             "interval-text",
             "interval-commas",
+            "init-file-name",
+            "add-file-name",
+            "ls-file-name",
+            "stats-file-name",
         ],
     )
     def test_huge_argument_error_is_short(self, store_file, capsys, argv, want):
@@ -632,19 +631,26 @@ class TestCyclicCollector:
         assert (code, events) == (0, [])
 
 
-# (golden file, command, arguments after the store file) on store_file's
-# store, the one CI builds as g.db for the installed console script
-STORE_GOLDEN_CASES = [
-    ("ls_root.txt", "ls", []),
-    ("descendants_3.txt", "descendants", ["--node", "3"]),
+# (parent, index, payload) of each node of the paper's worked example:
+# 3.12.5.1.21, its ancestors, and 4.7
+EXAMPLE_ADDS = [
+    ("root", 3, "three"),
+    ("3", 12, "p12"),
+    ("3.12", 5, "p5"),
+    ("3.12.5", 1, "p1"),
+    ("3.12.5.1", 21, "deep"),
+    ("root", 4, "four"),
+    ("4", 7, "p7"),
 ]
 
 
-def test_store_golden_outputs(store_file, capsys):
-    for golden_name, command, argv in STORE_GOLDEN_CASES:
-        code, out, _ = run(capsys, command, store_file, *argv)
-        assert code == 0, golden_name
-        assert out == (GOLDEN_DIR / golden_name).read_text(), f"{golden_name} mismatch"
+def save_example_store(filename):
+    from mobiustree import TreeStore
+
+    st = TreeStore()
+    for parent, index, payload in EXAMPLE_ADDS:
+        st.add_child(parent, payload, index=index)
+    st.save(filename)
 
 
 CHAIN_DEPTH = 300
@@ -666,41 +672,85 @@ def save_chain_store(filename):
     st.save(filename)
 
 
-def deep_chain_golden_cases(filename, add_filename):
-    """(golden file, argv) of every deep-chain golden; filename and
-    add_filename must each hold save_chain_store's store, and only the
-    add case changes add_filename.  The all-ones path is the Fibonacci
-    worst case of key size, and every step on it has quotient 1."""
-    from oracles import fib, primitive_product
-
+def _ones_interval():
+    """The all-ones path's interval; its depth is even, so det is +1
+    and the low end is closed."""
     a, b, c, d = primitive_product((1,) * CHAIN_DEPTH)
-    assert a * d - b * c == 1  # even depth: closed low endpoint
-    return [
-        ("encode_path_ones300.txt", ["encode", "--path", ONES]),
-        ("encode_ratio_ones300.txt", ["encode", "--ratio", f"{fib(CHAIN_DEPTH + 1)}/{fib(CHAIN_DEPTH)}"]),
-        ("decode_ones300.txt", ["decode", "--interval", f"[{a + b}/{c + d}, {a}/{c})"]),
-        ("ancestors_chain300.txt", ["ancestors", filename, "--node", ONES]),
-        ("descendants_chain300.txt", ["descendants", filename, "--node", "1"]),
-        # det +1 with slots [1, 2]: its slot-1 child heads the slice
-        ("descendants_chain300_1_1.txt", ["descendants", filename, "--node", "1.1"]),
-        ("tree_chain300.txt", ["tree", filename]),
-        # a new node at CHAIN_DEPTH + 1 components
-        ("add_chain300.txt", ["add", add_filename, "--parent", ONES, "--payload", f"c{CHAIN_DEPTH + 1}"]),
-    ]
+    assert a * d - b * c == 1
+    return f"[{a + b}/{c + d}, {a}/{c})"
 
 
-def test_deep_chain_golden_outputs(tmp_path, capsys):
-    """Byte-exact output on a 300-deep all-ones path and chain store;
-    the goldens were written by the long-division steps, before any
-    step had a quotient-1 branch."""
-    f, add_f = str(tmp_path / "chain.db"), str(tmp_path / "chain_add.db")
-    save_chain_store(f)
-    save_chain_store(add_f)
-    for golden_name, argv in deep_chain_golden_cases(f, add_f):
-        code, out, _ = run(capsys, *argv)
-        assert code == 0, golden_name
-        assert out == (GOLDEN_DIR / golden_name).read_text(), f"{golden_name} mismatch"
-    # the label's canonical path folds the trailing 1 into a 2
+# the store files golden_mismatches builds; a mutating row has a file of
+# its own, so every other row sees its store as built
+GOLDEN_STORES = {
+    "g.db": save_example_store,
+    "mv.db": save_example_store,
+    "rm.db": save_example_store,
+    "chain.db": save_chain_store,
+    "chain_add.db": save_chain_store,
+}
+
+# Every file in tests/golden, with the argv whose stdout it holds.  A row
+# on a store names its file in GOLDEN_STORES, which goes in as argv's
+# second word.  The all-ones path is the Fibonacci worst case of key
+# size, and every step on it has quotient 1; its goldens were written by
+# the long-division steps, before any step had a quotient-1 branch.
+GOLDEN_CASES = [
+    ("encode_path_deep.txt", None, ["encode", "--path", "3.12.5.1.21"]),
+    ("encode_path_3_12.txt", None, ["encode", "--path", "3.12"]),
+    ("encode_ratio_deep.txt", None, ["encode", "--ratio", "4913/1594"]),
+    ("encode_ratio_parent.txt", None, ["encode", "--ratio", "225/73"]),
+    ("encode_matrix_sibling.txt", None, ["encode", "--matrix", "5138,225,1667,73"]),
+    ("encode_matrix_4_7.txt", None, ["encode", "--matrix", "29,4,7,1"]),
+    ("encode_matrix_fragment.txt", None, ["encode", "--matrix", "131,6,22,1"]),
+    ("decode_deep.txt", None, ["decode", "--interval", "(4913/1594, 5138/1667]"]),
+    ("decode_3_12.txt", None, ["decode", "--interval", "[40/13, 37/12)"]),
+    ("decode_root.txt", None, ["decode", "--interval", "[1/1, inf)"]),
+    ("ancestors_deep.txt", "g.db", ["ancestors", "--node", "3.12.5.1.21"]),
+    ("ls_root.txt", "g.db", ["ls"]),
+    ("descendants_3.txt", "g.db", ["descendants", "--node", "3"]),
+    ("mv_subtree.txt", "mv.db", ["mv", "--node", "3.12.5", "--to", "4.7", "--index", "5"]),
+    # where that move takes 3.12.5.1.21
+    ("encode_path_moved.txt", None, ["encode", "--path", "4.7.5.1.21"]),
+    ("rm_subtree.txt", "rm.db", ["rm", "--node", "3.12"]),
+    ("encode_path_ones300.txt", None, ["encode", "--path", ONES]),
+    ("encode_ratio_ones300.txt", None, ["encode", "--ratio", f"{fib(CHAIN_DEPTH + 1)}/{fib(CHAIN_DEPTH)}"]),
+    ("decode_ones300.txt", None, ["decode", "--interval", _ones_interval()]),
+    ("ancestors_chain300.txt", "chain.db", ["ancestors", "--node", ONES]),
+    ("descendants_chain300.txt", "chain.db", ["descendants", "--node", "1"]),
+    # det +1 with slots [1, 2]: its slot-1 child heads the slice
+    ("descendants_chain300_1_1.txt", "chain.db", ["descendants", "--node", "1.1"]),
+    ("tree_chain300.txt", "chain.db", ["tree"]),
+    ("stats_chain300.txt", "chain.db", ["stats"]),
+    # a new node at CHAIN_DEPTH + 1 components
+    ("add_chain300.txt", "chain_add.db", ["add", "--parent", ONES, "--payload", f"c{CHAIN_DEPTH + 1}"]),
+]
+
+
+def golden_mismatches(run, directory):
+    """Build GOLDEN_STORES in directory, run each GOLDEN_CASES row through
+    run(argv) -> (exit code, stdout), and return, for each row that does
+    not exit 0 with its golden on stdout, its name, exit code and diff."""
+    names = sorted(name for name, _, _ in GOLDEN_CASES)
+    assert names == sorted(p.name for p in GOLDEN_DIR.iterdir()), "tests/golden and GOLDEN_CASES differ"
+    for name, save in GOLDEN_STORES.items():
+        save(os.path.join(directory, name))
+    mismatches = []
+    for name, store, argv in GOLDEN_CASES:
+        if store is not None:
+            argv = [argv[0], os.path.join(directory, store), *argv[1:]]
+        code, out = run(argv)
+        want = (GOLDEN_DIR / name).read_text()
+        if code != 0 or out != want:
+            diff = difflib.unified_diff(
+                want.splitlines(True), out.splitlines(True), f"tests/golden/{name}", "stdout"
+            )
+            mismatches.append(f"{name}: exit {code}\n" + "".join(diff))
+    return mismatches
+
+
+def test_the_ones_label_prints_the_folded_path():
+    """The all-ones label's canonical path folds the trailing 1 into a 2."""
     want_path = ".".join(["1"] * (CHAIN_DEPTH - 2) + ["2"])
     text = (GOLDEN_DIR / "encode_ratio_ones300.txt").read_text()
     assert text.startswith(f"path: {want_path}\n")
@@ -710,7 +760,8 @@ def test_exit_codes_of_a_real_process(tmp_path):
     """The process exit status, not only main()'s return value, carries
     each documented code; failures print nothing on stdout.  A stdout
     whose reader is gone ends the command with 0 and nothing on stderr,
-    after a mutation has saved; one that cannot take more exits 4."""
+    after a mutation has saved; one that cannot take more, or cannot
+    encode a line, exits 4."""
     from mobiustree import TreeStore
 
     env = dict(os.environ)
@@ -719,7 +770,10 @@ def test_exit_codes_of_a_real_process(tmp_path):
     for _ in range(5000):
         big.add_child("root", "")
     big.save(tmp_path / "big.db")
-    closed = "closed pipe"
+    accented = TreeStore()
+    accented.add_child("root", "\u00fc")
+    accented.save(tmp_path / "u.db")
+    closed, ascii_pipe = "closed pipe", "pipe encoded as ASCII"
     cases = [
         (["encode", "--path", "3.12"], 0, subprocess.PIPE),
         (["no-such-command"], 2, subprocess.PIPE),
@@ -727,15 +781,20 @@ def test_exit_codes_of_a_real_process(tmp_path):
         (["ls", str(tmp_path / "nope.db")], 4, subprocess.PIPE),
         (["tree", "big.db"], 0, closed),
         (["add", "big.db", "--parent", "root", "--payload", "piped"], 0, closed),
+        (["ls", "u.db"], 4, ascii_pipe),
+        (["add", "u.db", "--parent", "root", "--payload", "\u00fc"], 4, ascii_pipe),
     ]
     if os.path.exists("/dev/full"):
         cases.append((["tree", "big.db"], 4, "/dev/full"))
-    for argv, code, stdout in cases:
-        if stdout == closed:
+    for argv, code, kind in cases:
+        stdout, case_env = kind, env
+        if kind == closed:
             read_end, stdout = os.pipe()
             os.close(read_end)
-        elif stdout != subprocess.PIPE:
-            stdout = os.open(stdout, os.O_WRONLY)
+        elif kind == ascii_pipe:
+            stdout, case_env = subprocess.PIPE, dict(env, PYTHONIOENCODING="ascii")
+        elif kind != subprocess.PIPE:
+            stdout = os.open(kind, os.O_WRONLY)
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "mobiustree.cli", *argv],
@@ -743,13 +802,13 @@ def test_exit_codes_of_a_real_process(tmp_path):
                 stderr=subprocess.PIPE,
                 text=True,
                 cwd=tmp_path,
-                env=env,
+                env=case_env,
             )
         finally:
             if stdout != subprocess.PIPE:
                 os.close(stdout)
         assert proc.returncode == code, (argv, proc.stderr)
-        if stdout != subprocess.PIPE:
+        if kind != subprocess.PIPE:
             if code == 0:
                 assert proc.stderr == "", argv
             else:
@@ -761,6 +820,7 @@ def test_exit_codes_of_a_real_process(tmp_path):
             assert proc.stdout == ""
             assert proc.stderr.startswith("error:")
     assert TreeStore.load(tmp_path / "big.db").resolve("5001").payload == "piped"
+    assert TreeStore.load(tmp_path / "u.db").resolve("2").payload == "\u00fc"
 
 
 def test_concurrent_adds_keep_every_node(tmp_path):

@@ -777,6 +777,13 @@ class TestPersistence:
         with pytest.raises(StoreError):
             TreeStore.load(tmp_path / "nope.db")
 
+    @pytest.mark.parametrize("step", ["load", "save"])
+    def test_a_huge_file_name_gives_a_short_error(self, tmp_path, step):
+        name = tmp_path / ("x" * 100_000)
+        with pytest.raises(StoreError) as ei:
+            TreeStore.load(name) if step == "load" else TreeStore().save(name)
+        assert len(str(ei.value)) < 300
+
     @pytest.mark.parametrize("parent", ["root", "3", "3.4"], ids=["det+1", "det-1", "depth-2"])
     def test_loaded_store_keeps_child_slots(self, tmp_path, parent):
         """The file lists a det -1 parent's children by descending slot;
