@@ -5,9 +5,9 @@ Exit codes: 0 success, 2 usage error, 3 domain error (invalid encoding
 or value), 4 store error.  A stdout whose reader has gone ends the
 command with 0 and no message, after any change is saved; any other
 failure to write stdout, a line its encoding cannot hold included,
-exits 4.  Error messages quote a file name by an excerpt.  Mutating
-commands rewrite the store file atomically, each holding an exclusive
-lock from load to save.
+exits 4.  Error messages quote a file name, and a usage error any
+argument, by an excerpt.  Mutating commands rewrite the store file
+atomically, each holding an exclusive lock from load to save.
 
 Each command returns its output lines, and _run alone writes them.
 A listed record's path is its parent's path plus its slot: the
@@ -54,9 +54,35 @@ def _slot(text: str) -> int:
     return from_decimal(text)
 
 
+class _UsageError(Exception):
+    """A usage error, raised by the parser that found it, with argparse's
+    message for it, where argparse would print the message and exit."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, subcommand parsers included, whose usage
+    errors _run reports, so that the arguments a message quotes are
+    excerpted: argparse quotes an unknown command or argument whole."""
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
+def _excerpt_args(message: str, argv: list[str]) -> str:
+    """message with each argument it quotes cut to an excerpt: argparse
+    quotes an argument whole, its part after "=", or a short option's
+    part after the option letter, as is or by repr."""
+    for arg in sorted(argv, key=len, reverse=True):
+        for value in (arg, arg.partition("=")[2], arg[2:]):
+            short = _excerpt(value)
+            if short != value:
+                message = message.replace(repr(value), repr(short)).replace(value, short)
+    return message
+
+
 @functools.cache  # parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="mobius-tree",
         description="Tree encoding with rational labels, 2x2 matrices and "
         "nested intervals, plus a file-backed tree store.",
@@ -296,10 +322,15 @@ def main(argv: list[str] | None = None) -> int:
 def _run(argv: list[str] | None) -> int:
     """Parse argv, run its command and write the lines it returns: the
     one place that writes stdout or maps a failure to an exit code."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as e:
+        parser, message = e.args
+        parser.print_usage(sys.stderr)
+        print(f"{parser.prog}: error: {_excerpt_args(message, argv)}", file=sys.stderr)
+        return 2
+    except SystemExit as e:  # --help
         return e.code if isinstance(e.code, int) else 2
     try:
         for line in _COMMANDS[args.command](args):

@@ -2,6 +2,10 @@
 
 import warnings
 
+import pytest
+
+pytest.register_assert_rewrite("oracles")  # check_store's failures show values
+
 # When a @given test fails, Hypothesis's pytest plugin imports
 # hypothesis.extra._patching in its report hook.  Where libcst is
 # installed, that import emits a DeprecationWarning (for

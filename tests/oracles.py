@@ -2,7 +2,10 @@
 
 Nothing here may call into the package's conversion code paths it is
 used to check: continued fractions are evaluated with Fraction, matrix
-products with plain tuples, prefix tests on raw tuples.
+products with plain tuples, prefix tests on raw tuples.  TreeModel is
+the randomized store and CLI tests' one model of a store, and
+check_store their one comparison of a TreeStore with it (check_records
+its part that builds no index).
 """
 
 from fractions import Fraction
@@ -144,3 +147,201 @@ def build_store_from_paths(store_cls, paths):
         parent = "root" if len(p) == 1 else ".".join(map(str, p[:-1]))
         store.add_child(parent, ".".join(map(str, p)), index=p[-1])
     return store
+
+
+def dotted(path):
+    """A path tuple as the store and the CLI take it: dotted decimal,
+    or "root" for the empty path."""
+    return ".".join(map(str, path)) or "root"
+
+
+class TreeModel:
+    """A store as path tuples alone know it: tree maps each node's path
+    to its payload, a node's matrix is its parent's times one primitive
+    factor, and the interval order is computed with Fraction.  add, move
+    and delete follow the store's slot rule (see place) and return what
+    it returns; a move gives src's subtree new paths and no other node
+    changes."""
+
+    def __init__(self, tree=()):
+        self.tree = dict(tree)
+        self._product = {(): primitive_product(())}
+
+    def matrix(self, path):
+        """The matrix of path: its longest memoized prefix's times one
+        primitive factor per further component."""
+        product, k = self._product, len(path)
+        while path[:k] not in product:
+            k -= 1
+        for k in range(k, len(path)):
+            product[path[: k + 1]] = mat_mul4(product[path[:k]], primitive_product(path[k : k + 1]))
+        return product[path]
+
+    def order(self, paths=None):
+        """paths (all nodes by default) by interval low, then high end."""
+        return sorted(self.tree if paths is None else paths, key=lambda p: oracle_interval(self.matrix(p)))
+
+    def subtree(self, top):
+        """top and every node below it."""
+        return [p for p in self.tree if p[: len(top)] == top]
+
+    def targets(self, src):
+        """The parents src can move under: the root, then each node
+        outside src's subtree, in path order."""
+        return [()] + [p for p in sorted(self.tree) if p[: len(src)] != src]
+
+    def children(self, parent):
+        return self.order(p for p in self.tree if p[:-1] == parent)
+
+    def descendants(self, node):
+        return self.order(p for p in self.subtree(node) if p != node)
+
+    @staticmethod
+    def ancestors(node):
+        return [node[:k] for k in range(1, len(node))]
+
+    def walk(self):
+        """Every node depth first, children in interval order."""
+        kids = {}
+        for p in self.order():
+            kids.setdefault(p[:-1], []).append(p)
+        out, stack = [], kids.get((), [])[::-1]
+        while stack:
+            out.append(stack.pop())
+            stack += kids.get(out[-1], [])[::-1]
+        return out
+
+    def place(self, parent, index=None, src=None):
+        """The path a node placed under parent takes, by add (src None)
+        or by a move of src: index, or 1 + the highest slot taken there,
+        src's own slot not counted; None if index is taken."""
+        vacating = src[-1] if src is not None and src[:-1] == parent else None
+        taken = [p[-1] for p in self.tree if p[:-1] == parent and p[-1] != vacating]
+        if index is None:
+            return parent + (max(taken, default=0) + 1,)
+        return None if index in taken else parent + (index,)
+
+    def add(self, parent, payload, index=None):
+        """The new node's path, or None if index is taken."""
+        path = self.place(parent, index)
+        if path is not None:
+            self.tree[path] = payload
+        return path
+
+    def move(self, src, parent, index=None):
+        """{old path: new path} for src's subtree; None for a
+        move under src itself or into a taken index."""
+        top = None if parent[: len(src)] == src else self.place(parent, index, src)
+        if top is None:
+            return None
+        moved = {p: top + p[len(src) :] for p in self.subtree(src)}
+        self.tree = {moved.get(p, p): payload for p, payload in self.tree.items()}
+        return moved
+
+    def delete(self, top):
+        """The paths of the removed subtree."""
+        doomed = self.subtree(top)
+        for p in doomed:
+            del self.tree[p]
+        return doomed
+
+    def stats(self):
+        """What stats() must report, by field name."""
+        keys = [self.matrix(p) for p in self.tree]
+        return {
+            "nodes": len(keys),
+            "max_depth": max(map(len, self.tree), default=0),
+            "max_numerator_bits": max((k[0].bit_length() for k in keys), default=0),
+            "max_key_bytes": max((len("\t".join(map(str, k))) for k in keys), default=0),
+        }
+
+    def file_bytes(self, order=None):
+        """What a save must write; order is self.order(), if known."""
+        order = self.order() if order is None else order
+        return store_file_bytes((self.matrix(p), self.tree[p]) for p in order)
+
+    def line(self, path, shown=None):
+        """The CLI's record line: the path (or shown), label, payload."""
+        a, _, c, _ = self.matrix(path)
+        return f"{dotted(path) if shown is None else shown}\t{a}/{c}\t{escape(self.tree[path])}\n"
+
+    def lines(self, paths):
+        return "".join(map(self.line, paths))
+
+    def build(self, store):
+        """store with every node added, parents first, at its own slot."""
+        made = {(): "root"}
+        for p in sorted(self.tree, key=len):
+            made[p] = store.add_child(made[p[:-1]], self.tree[p], index=p[-1])
+        return store
+
+    def refs(self, path, record=None):
+        """path as each kind of parent reference that add_child,
+        move_subtree and children take: its text, a Path, a
+        MobiusMatrix, and its record, or None for the root."""
+        from mobiustree import MobiusMatrix, Path
+
+        return [dotted(path), Path(path), MobiusMatrix(*self.matrix(path)), record if path else None]
+
+
+QUERIES = ("children", "descendants", "ancestors")
+
+
+def check_records(store, model, records=None):
+    """Assert that store holds a record at each of model's paths'
+    matrices, with its payload, and no other record; records, if
+    given, maps each path to the record it must be.  Builds no index.
+    Returns the record at each path."""
+    by_key = {rec.matrix.entries(): rec for rec in store}
+    assert len(store) == len(by_key) == len(model.tree)
+    at = {p: by_key.get(model.matrix(p)) for p in model.tree}
+    for p, rec in at.items():
+        assert rec is not None and rec.payload == model.tree[p], dotted(p)
+        assert records is None or rec is records[p], dotted(p)
+    return at
+
+
+def check_store(store, model, file, queries=QUERIES, records=None):
+    """Assert that store holds model: check_records, then all_nodes()
+    in interval order, stats(), and the bytes a save to file writes.
+    The queries named are asked of every node, and children of the
+    root too.  Returns the record at each path."""
+    at = check_records(store, model, records)
+    order = model.order()
+    recs = [at[p] for p in order]
+    assert store.all_nodes() == recs
+    assert vars(store.stats()) == model.stats()
+    store.save(file)
+    with open(file, "rb") as f:
+        assert f.read() == model.file_bytes(order)
+    if not queries:
+        return at
+
+    # each node's parent, kids and descendants by its place in order,
+    # the root at n: a slice of a long path would cost its length
+    n = len(order)
+    rank = {p: i for i, p in enumerate(order)}
+    rank[()] = n
+    up = [rank[p[:-1]] for p in order]
+    kids = [[] for _ in range(n + 1)]
+    below = [[] for _ in range(n + 1)]
+    for i, rec in enumerate(recs):
+        j = up[i]
+        kids[j].append(rec)
+        while "descendants" in queries and j < n:
+            below[j].append(rec)
+            j = up[j]
+    if "children" in queries:
+        assert store.children() == kids[n]
+    for i, rec in enumerate(recs):
+        if "children" in queries:
+            assert store.children(rec) == kids[i], dotted(order[i])
+        if "descendants" in queries:
+            assert store.descendants(rec) == below[i], dotted(order[i])
+        if "ancestors" in queries:
+            chain, j = [], up[i]
+            while j < n:
+                chain.append(recs[j])
+                j = up[j]
+            assert store.ancestors(rec) == chain[::-1], dotted(order[i])
+    return at

@@ -31,8 +31,10 @@ from mobiustree.store import TreeStore
 from mobiustree.cli import main as cli_main
 
 from oracles import (
+    TreeModel,
     build_store_from_paths,
     cf_value,
+    check_records,
     fib,
     is_proper_prefix,
     random_forest,
@@ -149,31 +151,19 @@ def test_criterion_5_relocation_oracle():
         for _ in range(100):
             paths = random_forest(rng, rng.randint(20, 200))
             store = build_store_from_paths(TreeStore, paths)
-            by_payload = {".".join(map(str, p)): p for p in paths}
+            model = TreeModel({p: ".".join(map(str, p)) for p in paths})
 
             src_path = paths[rng.randrange(len(paths))]
-            subtree = {p for p in paths if p == src_path or is_proper_prefix(src_path, p)}
-            parent_choices = [p for p in paths if p not in subtree] + [()]
+            parent_choices = [p for p in paths if p[: len(src_path)] != src_path] + [()]
             np_path = parent_choices[rng.randrange(len(parent_choices))]
-            occupied = {p[-1] for p in paths if p[:-1] == np_path and p not in subtree}
-            free = [i for i in range(1, 31) if i not in occupied]
+            free = [i for i in range(1, 31) if model.place(np_path, i, src_path)]
             slot = free[rng.randrange(len(free))]
 
             src = store.resolve(Path(src_path))
             target = "root" if np_path == () else store.resolve(Path(np_path))
             count = store.move_subtree(src, target, index=slot)
-            assert count == len(subtree)
-
-            expected = {}
-            for payload, p in by_payload.items():
-                if p in subtree:
-                    expected[payload] = np_path + (slot,) + p[len(src_path):]
-                else:
-                    expected[payload] = p
-            actual = {
-                rec.payload: tuple(matrix_to_path(rec.matrix).components) for rec in store
-            }
-            assert actual == expected
+            assert count == len(model.move(src_path, np_path, slot))
+            check_records(store, model)
 
 
 def test_criterion_6_ancestors_equal_convergents():

@@ -243,6 +243,11 @@ class TestStoreCommands:
             (["add", "x" * 100_000, "--parent", "root"], 4),
             (["ls", "x" * 100_000], 4),
             (["stats", "x" * 100_000], 4),
+            (["x" * 100_000], 2),
+            (["encode", "--path", "1", "1" * 100_000], 2),
+            (["encode", "--path", "1", "--bogus" + "x" * 100_000], 2),
+            (["encode", "--help=" + "x" * 100_000], 2),
+            (["encode", "-h" + "x" * 100_000], 2),
         ],
         ids=[
             "add-index-below-1",
@@ -261,6 +266,11 @@ class TestStoreCommands:
             "add-file-name",
             "ls-file-name",
             "stats-file-name",
+            "unknown-command",
+            "unrecognized-argument",
+            "unknown-option",
+            "option-value-after-equals",
+            "short-option-value",
         ],
     )
     def test_huge_argument_error_is_short(self, store_file, capsys, argv, want):
@@ -270,6 +280,8 @@ class TestStoreCommands:
         code, out, err = run(capsys, *(a.replace("{f}", store_file) for a in argv))
         assert (code, out) == (want, "")
         assert len(err) < 300
+        if want == 2:  # argparse's usage line, then its message
+            assert err.startswith("usage: mobius-tree")
         assert FsPath(store_file).read_bytes() == before
 
     def test_ls_leaf_is_empty_success(self, store_file, capsys):
@@ -314,31 +326,20 @@ class TestStoreCommands:
         slots.  2.3 has det +1, so its slot-1 child 2.3.1, which has
         children of its own, sorts just before it."""
         from mobiustree import TreeStore
-        from oracles import oracle_interval, primitive_product
+        from oracles import TreeModel, dotted
 
         paths = [(2,), (2, 3), (2, 3, 1), (2, 3, 1, 1), (2, 3, 1, 4), (2, 3, 2)]
-        st = TreeStore()
-        for p in paths:
-            st.add_child(".".join(map(str, p[:-1])) or "root", ".".join(map(str, p)), index=p[-1])
+        model = TreeModel({p: dotted(p) for p in paths})
         f = str(tmp_path / "x.db")
-        st.save(f)
+        model.build(TreeStore()).save(f)
 
         def no_walk(*args):
             raise AssertionError("children() called")
 
         monkeypatch.setattr(TreeStore, "children", no_walk)
         for node in [(2,), (2, 3), (2, 3, 1)]:
-            below = sorted(
-                (p for p in paths if p[: len(node)] == node and p != node),
-                key=lambda p: oracle_interval(primitive_product(p)),
-            )
-            want = ""
-            for p in below:
-                a, _, c, _ = primitive_product(p)
-                dotted = ".".join(map(str, p))
-                want += f"{dotted}\t{a}/{c}\t{dotted}\n"
-            code, out, _ = run(capsys, "descendants", f, "--node", ".".join(map(str, node)))
-            assert (code, out) == (0, want)
+            code, out, _ = run(capsys, "descendants", f, "--node", dotted(node))
+            assert (code, out) == (0, model.lines(model.descendants(node)))
 
     def test_tree(self, store_file, capsys):
         code, out, _ = run(capsys, "tree", store_file)
@@ -531,50 +532,28 @@ class TestStoreCommands:
 
     def test_tree_slots_on_a_deep_chain_with_side_leaves(self, tmp_path, capsys):
         """Each printed slot is the last component of the node's path,
-        and the nodes come in the oracle's order: depth first, children
+        and the nodes come in the model's order: depth first, children
         by their Fraction interval endpoints."""
-        from fractions import Fraction
-
         from mobiustree import TreeStore
-        from oracles import mat_mul4, primitive_product
+        from oracles import TreeModel
 
-        st = TreeStore()
-        paths, product = [], {(): primitive_product(())}
+        st, model = TreeStore(), TreeModel()
         ref, path = "root", ()
         for level in range(1500):
             # the next spine node in slot 1, and a side leaf in slot 2, 3 or 4
             for slot in (1, 2 + level % 3):
-                p = path + (slot,)
-                product[p] = mat_mul4(product[path], primitive_product((slot,)))
-                node = st.add_child(ref, str(len(paths)), index=slot)
-                paths.append(p)
+                model.tree[path + (slot,)] = str(len(model.tree))
+                node = st.add_child(ref, model.tree[path + (slot,)], index=slot)
                 if slot == 1:
                     spine = node
             ref, path = spine, path + (1,)
         f = str(tmp_path / "deep.db")
         st.save(f)
 
-        def lo(p):
-            a, b, c, d = product[p]
-            return min(Fraction(a, c), Fraction(a + b, c + d))
-
-        kids = {}
-        for p in paths:
-            kids.setdefault(p[:-1], []).append(p)
-        want, stack = [], sorted(kids[()], key=lo, reverse=True)
-        while stack:
-            p = stack.pop()
-            want.append(p)
-            stack.extend(sorted(kids.get(p, ()), key=lo, reverse=True))
-
         code, out, _ = run(capsys, "tree", f)
-        assert code == 0
-        lines = out.splitlines()
-        assert len(lines) == len(want) == 3000
-        for line, p in zip(lines, want):
-            slot, _, payload = line.split("\t")
-            assert slot == "  " * (len(p) - 1) + str(p[-1])
-            assert paths[int(payload)] == p
+        want = [model.line(p, "  " * (len(p) - 1) + str(p[-1])) for p in model.walk()]
+        assert len(want) == 3000
+        assert (code, out.splitlines(keepends=True)) == (0, want)
 
 
 class TestCyclicCollector:

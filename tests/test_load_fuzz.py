@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mobiustree.exactmath import to_decimal
 from mobiustree.store import StoreError, TreeStore
 
-from oracles import build_store_from_paths, primitive_product, random_forest
+from oracles import TreeModel, build_store_from_paths, check_store, primitive_product, random_forest
 
 HEADER = "mobius-tree v1"
 
@@ -177,17 +177,12 @@ def test_damaged_files_load_exactly_or_raise_store_error(tmp_path, edits, data):
         assert want is None, "a valid file was rejected"
         return
     assert want is not None, "an invalid file was loaded"
-    assert {rec.matrix.entries(): rec.payload for rec in store} == {
-        primitive_product(p): payload for p, payload in want.items()
-    }
-    rebuilt = TreeStore()
-    for p in sorted(want, key=len):
-        rebuilt.add_child(".".join(map(str, p[:-1])) or "root", want[p], index=p[-1])
-    a, b, c = tmp_path / "a.db", tmp_path / "b.db", tmp_path / "c.db"
-    store.save(a)
-    rebuilt.save(b)
-    TreeStore.load(a).save(c)
-    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+    # the loaded store, one rebuilt from scratch and a reload of the
+    # first one's save all hold the model and save its bytes
+    model, a = TreeModel(want), tmp_path / "a.db"
+    check_store(store, model, a, ())
+    check_store(model.build(TreeStore()), model, tmp_path / "b.db", ())
+    check_store(TreeStore.load(a), model, tmp_path / "c.db", ())
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,3 @@
-import bisect
 import errno
 import gc
 import itertools
@@ -29,8 +28,11 @@ from mobiustree.store import (
 )
 
 from oracles import (
+    TreeModel,
     build_store_from_paths,
-    is_proper_prefix,
+    check_records,
+    check_store,
+    dotted,
     mat_mul4,
     oracle_interval,
     primitive_product,
@@ -40,6 +42,11 @@ from oracles import (
 
 def paths_of(store):
     return sorted(str(matrix_to_path(r.matrix)) for r in store)
+
+
+def model_of(paths):
+    """The model of build_store_from_paths(TreeStore, paths)."""
+    return TreeModel({p: dotted(p) for p in paths})
 
 
 def chain_store(*paths):
@@ -273,12 +280,14 @@ class TestRecordHandles:
             lambda st: st.ancestors(Path([1])),
             lambda st: st.delete_subtree(None),
             lambda st: st.move_subtree("1", "root"),
+            lambda st: st.add_child([1], "x"),
         ],
-        ids=["descendants", "ancestors", "delete_subtree", "move_subtree"],
+        ids=["descendants", "ancestors", "delete_subtree", "move_subtree", "add_child-under-a-list"],
     )
     def test_non_record_handle_is_a_type_error(self, call):
         """Methods that take a record, not a reference, reject anything
-        else as children() rejects a reference of the wrong type."""
+        else as children() rejects a reference of the wrong type, and
+        add_child a parent that is no kind of reference."""
         st = chain_store("1.1", "4")
         before = self.contents(st)
         with pytest.raises(TypeError):
@@ -884,42 +893,28 @@ class TestPersistence:
 
 
 class TestIndexOrderOracle:
-    """all_nodes() and the saved line order against an interval order
-    computed with Fraction from oracle primitive products alone."""
+    """all_nodes(), stats() and the saved bytes against a path-tuple
+    model, whose interval order is computed with Fraction from oracle
+    primitive products alone."""
 
-    @staticmethod
-    def check(store, tmp_path, path_of):
-        """path_of maps each record's payload to its path tuple."""
-        paths = sorted(path_of.values(), key=len)
-        product = {(): primitive_product(())}
-        for p in paths:  # parents first: one primitive factor per node
-            product[p] = mat_mul4(product[p[:-1]], primitive_product(p[-1:]))
-        want = sorted(paths, key=lambda p: oracle_interval(product[p]))
-        assert [path_of[rec.payload] for rec in store.all_nodes()] == want
-        f = tmp_path / "s.db"
-        store.save(f)
-        saved = [tuple(map(int, line.split("\t")[:4])) for line in f.read_text().splitlines()[1:]]
-        assert saved == [product[p] for p in want]
-        return want, product
+    QUERIES = ()
 
-    @staticmethod
-    def dotted(paths):
-        return {".".join(map(str, p)): tuple(p) for p in paths}
+    def check(self, store, tmp_path, model):
+        check_store(store, model, tmp_path / "s.db", self.QUERIES)
 
     def test_random_forests(self, tmp_path):
         rng = random.Random(41)
         for size in (1, 2, 60, 400):
             paths = random_forest(rng, size)
-            store = build_store_from_paths(TreeStore, paths)
-            self.check(store, tmp_path, self.dotted(paths))
+            self.check(build_store_from_paths(TreeStore, paths), tmp_path, model_of(paths))
 
     def test_deep_spines_with_huge_endpoints(self, tmp_path):
         st = TreeStore()
-        path_of = {}
+        model = TreeModel()
 
         def add(parent, path):
-            path_of[str(len(path_of))] = path
-            return st.add_child(parent, str(len(path_of) - 1), index=path[-1])
+            model.tree[path] = str(len(model.tree))
+            return st.add_child(parent, model.tree[path], index=path[-1])
 
         for top in (1, 2, 3):
             ref = add("root", (top,))
@@ -931,8 +926,8 @@ class TestIndexOrderOracle:
                     # siblings and a nephew right next to the spine
                     for n in (2, 3):
                         add(add(ref, path + (n,)), path + (n, 1))
-        _, product = self.check(st, tmp_path, path_of)
-        max_den_bits = max((c + d).bit_length() for _, _, c, d in product.values())
+        self.check(st, tmp_path, model)
+        max_den_bits = max((c + d).bit_length() for _, _, c, d in map(model.matrix, model.tree))
         assert 2 * max_den_bits + 2 > 2000  # the sort key's shift k
 
     def test_after_mutations(self, tmp_path):
@@ -941,53 +936,43 @@ class TestIndexOrderOracle:
         rng = random.Random(43)
         paths = random_forest(rng, 150)
         store = build_store_from_paths(TreeStore, paths)
-        path_of = self.dotted(paths)
-        self.check(store, tmp_path, path_of)
+        model = model_of(paths)
+        self.check(store, tmp_path, model)
 
         def free_slot(parent):
-            taken = [p[-1] for p in path_of.values() if p[:-1] == parent]
-            return max(taken, default=0) + rng.randint(1, 3)
+            return model.place(parent)[-1] + rng.randint(0, 2)
 
-        def under(p, top):
-            return p[: len(top)] == top
-
-        def move(payload, parent, slot):
-            src = path_of[payload]
-            target = ".".join(map(str, parent)) or "root"
-            store.move_subtree(store.resolve(".".join(map(str, src))), target, index=slot)
-            for k, p in path_of.items():
-                if under(p, src):
-                    path_of[k] = parent + (slot,) + p[len(src):]
+        def move(src, parent, slot):
+            moved = model.move(src, parent, slot)
+            assert store.move_subtree(store.resolve(dotted(src)), dotted(parent), index=slot) == len(moved)
 
         for step in range(60):
-            payload = rng.choice(sorted(path_of))
-            src = path_of[payload]
+            src = rng.choice(sorted(model.tree, key=model.tree.get))  # by payload
             kind = step % 4
             if kind == 0:  # insert under the node or the root
-                parent, ref = rng.choice([((), "root"), (src, ".".join(map(str, src)))])
+                parent = rng.choice([(), src])
                 slot = free_slot(parent)
-                store.add_child(ref, f"n{step}", index=slot)
-                path_of[f"n{step}"] = parent + (slot,)
+                store.add_child(dotted(parent), f"n{step}", index=slot)
+                model.add(parent, f"n{step}", slot)
             elif kind == 1:  # move elsewhere
-                targets = [p for p in path_of.values() if not under(p, src)]
-                parent = rng.choice([()] + targets)
-                move(payload, parent, free_slot(parent))
+                parent = rng.choice([()] + [p for p in model.tree if p[: len(src)] != src])
+                move(src, parent, free_slot(parent))
             elif kind == 2:  # move away and back: the old keys return
-                move(payload, (), free_slot(()))
-                move(payload, src[:-1], src[-1])
+                slot = free_slot(())
+                move(src, (), slot)
+                move((slot,), src[:-1], src[-1])
             else:  # delete, then bring the top back under its old key
-                doomed = [k for k, p in path_of.items() if under(p, src)]
-                assert store.delete_subtree(store.resolve(".".join(map(str, src)))) == len(doomed)
-                for k in doomed:
-                    del path_of[k]
-                store.add_child(".".join(map(str, src[:-1])) or "root", payload, index=src[-1])
-                path_of[payload] = src
-            self.check(store, tmp_path, path_of)
+                payload = model.tree[src]
+                assert store.delete_subtree(store.resolve(dotted(src))) == len(model.delete(src))
+                store.add_child(dotted(src[:-1]), payload, index=src[-1])
+                model.add(src[:-1], payload, src[-1])
+            self.check(store, tmp_path, model)
 
     def test_equal_low_endpoints(self, tmp_path):
         store = chain_store("3.2.1.5")
-        want, _ = self.check(store, tmp_path, self.dotted([(3,), (3, 2), (3, 2, 1), (3, 2, 1, 5)]))
-        assert want == [(3,), (3, 2, 1), (3, 2), (3, 2, 1, 5)]
+        model = model_of([(3,), (3, 2), (3, 2, 1), (3, 2, 1, 5)])
+        self.check(store, tmp_path, model)
+        assert model.order() == [(3,), (3, 2, 1), (3, 2), (3, 2, 1, 5)]
 
 
 class TestSharedLowEndpoints:
@@ -1040,31 +1025,15 @@ class TestSharedLowEndpoints:
 
 class TestDescendantsSliceOracle(TestIndexOrderOracle):
     """Every store of the index-order oracle again, now also checking
-    descendants() of every node: the path-prefix block of the
-    lexicographic path order, listed in the oracle's interval order."""
+    descendants() of every node: the nodes with its path as a proper
+    prefix, in the model's interval order."""
 
-    @staticmethod
-    def check(store, tmp_path, path_of):
-        want, product = TestIndexOrderOracle.check(store, tmp_path, path_of)
-        # payloads stand for paths below: long tuples rehash on each lookup
-        payload_of = {p: k for k, p in path_of.items()}
-        rank = {payload_of[p]: i for i, p in enumerate(want)}
-        lex = sorted(want)
-        lex_payloads = [payload_of[p] for p in lex]
-        record_of = {rec.payload: rec for rec in store}
-        for s, p in enumerate(lex):
-            # q has p as a proper prefix iff p < q < p with its last
-            # component incremented
-            e = bisect.bisect_left(lex, p[:-1] + (p[-1] + 1,), s)
-            expected = sorted(lex_payloads[s + 1 : e], key=rank.__getitem__)
-            got = [rec.payload for rec in store.descendants(record_of[lex_payloads[s]])]
-            assert got == expected, p
-        return want, product
+    QUERIES = ("descendants",)
 
     def test_first_child_chains(self, tmp_path):
         store = chain_store("1.1.1.1.1.1.1.1", "3.1.1.1", "3.2.1.5", "3.2.1.1.1", "2.1.1.2")
-        path_of = {rec.payload: tuple(map(int, rec.payload.split("."))) for rec in store}
-        self.check(store, tmp_path, path_of)
+        model = TreeModel({tuple(map(int, rec.payload.split("."))): rec.payload for rec in store})
+        self.check(store, tmp_path, model)
 
 
 class TestDescendantsEndSearch:
@@ -1101,7 +1070,7 @@ class TestDescendantsEndSearch:
                             paths |= {(4,) + p for p in random_forest(random.Random(1), self.W + 2)}
                             paths.add((4,))
                         store = build_store_from_paths(TreeStore, paths)
-                        TestDescendantsSliceOracle.check(store, tmp_path, TestIndexOrderOracle.dotted(paths))
+                        check_store(store, model_of(paths), tmp_path / "s.db", ("descendants",))
                         rec = store.resolve(".".join(map(str, node)))
                         covered.add((len(node), tail, self.slice_length(store, rec)))
         for depth in (1, 2):
@@ -1112,7 +1081,7 @@ class TestDescendantsEndSearch:
     def test_det_plus_one_node_whose_only_child_is_slot_one(self, tmp_path):
         paths = {(3,), (3, 2), (3, 2, 1), (3, 1), (4,)} | {(4, n) for n in range(1, 2 * self.W)}
         store = build_store_from_paths(TreeStore, paths)
-        TestDescendantsSliceOracle.check(store, tmp_path, TestIndexOrderOracle.dotted(paths))
+        check_store(store, model_of(paths), tmp_path / "s.db", ("descendants",))
         node = store.resolve("3.2")
         assert node.matrix.det == 1
         assert [r.payload for r in store.descendants(node)] == ["3.2.1"]
@@ -1166,21 +1135,10 @@ class TestDescendantsEndSearch:
 
 class TestChildrenOrderOracle(TestIndexOrderOracle):
     """Every store of the index-order oracle again, now also checking
-    children() of every node and of the root: the oracle's interval
+    children() of every node and of the root: the model's interval
     order restricted to the node's children."""
 
-    @staticmethod
-    def check(store, tmp_path, path_of):
-        want, product = TestIndexOrderOracle.check(store, tmp_path, path_of)
-        payload_of = {p: k for k, p in path_of.items()}
-        kids = {}
-        for p in want:
-            kids.setdefault(p[:-1], []).append(payload_of[p])
-        assert [rec.payload for rec in store.children("root")] == kids.get((), [])
-        for rec in store:
-            got = [kid.payload for kid in store.children(rec)]
-            assert got == kids.get(path_of[rec.payload], []), rec.payload
-        return want, product
+    QUERIES = ("children",)
 
 
 class TestStats:
@@ -1208,65 +1166,63 @@ class TestStats:
 
     def test_deep_spines_match_the_oracle(self):
         st = TreeStore()
-        product = {(): primitive_product(())}
+        model = TreeModel()
         for top in (1, 3, 5, 7):
             ref, path = "root", ()
             for slot in (top,) + (1,) * 300:
                 # the next spine node, and a side leaf in the slot after it
                 for n in (slot + 1, slot):
-                    product[path + (n,)] = mat_mul4(product[path], primitive_product((n,)))
+                    model.tree[path + (n,)] = "x"
                     node = st.add_child(ref, "x", index=n)
                 ref, path = node, path + (slot,)
-        del product[()]
-        s = st.stats()
-        assert s.nodes == len(product)
-        assert s.max_depth == max(map(len, product)) == 301
-        assert s.max_numerator_bits == max(m[0].bit_length() for m in product.values())
-        assert s.max_key_bytes == max(len("\t".join(map(str, m))) for m in product.values())
+        assert vars(st.stats()) == model.stats()
+        assert st.stats().max_depth == 301
 
 
 class TestClosureAndIntegrity:
-    def test_parent_closure_held_under_random_mutation(self):
+    def test_parent_closure_held_under_random_mutation(self, tmp_path):
         rng = random.Random(23)
-        st = build_store_from_paths(TreeStore, random_forest(rng, 100))
+        paths = random_forest(rng, 100)
+        st = build_store_from_paths(TreeStore, paths)
+        model = model_of(paths)
         for _ in range(60):
+            # records are drawn in the store's own order; the check
+            # builds no index, so every mutation runs on stale keys
+            path = {id(rec): p for p, rec in self.check_parents(st, model).items()}
             recs = list(st)
             if not recs:
                 break
             op = rng.random()
             if op < 0.5:
-                st.add_child(recs[rng.randrange(len(recs))], "x")
+                parent = recs[rng.randrange(len(recs))]
+                st.add_child(parent, "x")
+                model.add(path[id(parent)], "x")
             elif op < 0.75:
-                st.delete_subtree(recs[rng.randrange(len(recs))])
+                top = recs[rng.randrange(len(recs))]
+                assert st.delete_subtree(top) == len(model.delete(path[id(top)]))
             else:
                 src = recs[rng.randrange(len(recs))]
                 tgt = recs[rng.randrange(len(recs))]
-                try:
-                    st.move_subtree(src, tgt)
-                except (CycleError, OccupiedSlotError, MissingNodeError):
-                    pass
-            present = {r.matrix.entries() for r in st}
-            for r in st:
-                p = path_to_matrix(matrix_to_path(r.matrix).components[:-1])
-                assert p.is_identity or p.entries() in present
+                moved = model.move(path[id(src)], path[id(tgt)])
+                if moved is None:  # tgt is in src's subtree
+                    with pytest.raises(CycleError):
+                        st.move_subtree(src, tgt)
+                else:
+                    assert st.move_subtree(src, tgt) == len(moved)
+        self.check_parents(st, model)
+        check_store(st, model, tmp_path / "s.db", ("ancestors",))
 
     @staticmethod
-    def check_parents(st, path_of):
+    def check_parents(st, model):
         """Every record's parent reference is the record at its parent's
-        entries (the _root sentinel at the top), and its ancestors are
-        the records at its path's proper prefixes, root side first."""
-        payload_at = {p: k for k, p in path_of.items()}
-        at = {primitive_product(p): k for k, p in path_of.items()}
-        assert sorted(r.payload for r in st) == sorted(path_of)
-        for rec in st:
-            path = path_of[rec.payload]
-            assert at[rec.matrix.entries()] == rec.payload
-            if len(path) == 1:
-                assert rec._parent is st._root
-            else:
-                assert rec._parent is st._records[primitive_product(path[:-1])]
-            want = [payload_at[path[:i]] for i in range(1, len(path))]
-            assert [r.payload for r in st.ancestors(rec)] == want
+        path (the _root sentinel at the top), and its ancestors are the
+        records at its path's proper prefixes, root side first; none of
+        it builds the index.  Returns the record at each path."""
+        at = check_records(st, model)
+        for p, rec in at.items():
+            assert rec._parent is (at[p[:-1]] if len(p) > 1 else st._root)
+            assert st.ancestors(rec) == [at[p[:k]] for k in range(1, len(p))]
+        return at
 
     def test_parent_references_match_the_model(self, tmp_path):
         """Adds with explicit and automatic slots, moves (into the
@@ -1277,76 +1233,52 @@ class TestClosureAndIntegrity:
 
     def run_mutations(self, rng, tmp_path):
         names = itertools.count()
-        path_of = {f"n{next(names)}": p for p in random_forest(rng, 40)}
-        st = TreeStore()
-        for payload, p in sorted(path_of.items(), key=lambda item: len(item[1])):
-            st.add_child(".".join(map(str, p[:-1])) or "root", payload, index=p[-1])
-
-        def ref(path):
-            return ".".join(map(str, path)) or "root"
-
-        def auto_slot(parent, moving=None):
-            taken = [p[-1] for p in path_of.values() if p[:-1] == parent and p != moving]
-            return max(taken, default=0) + 1
-
+        model = TreeModel({p: f"n{next(names)}" for p in random_forest(rng, 40)})
+        st = model.build(TreeStore())
         kinds = ["add", "add-auto", "move", "move-auto", "move-home", "move-sibling"]
         kinds += ["delete", "reload"]
         for _ in range(120):
-            self.check_parents(st, path_of)
+            self.check_parents(st, model)
             kind = rng.choice(kinds)
-            existing = sorted(path_of.values())
+            existing = sorted(model.tree)
             if kind.startswith("add") or not existing:
                 parent, payload = rng.choice([()] + existing), f"n{next(names)}"
-                if kind == "add":
-                    slot = auto_slot(parent) + rng.randrange(3)
-                    st.add_child(ref(parent), payload, index=slot)
-                else:
-                    slot = auto_slot(parent)
-                    st.add_child(ref(parent), payload)
-                path_of[payload] = parent + (slot,)
+                slot = model.place(parent)[-1] + rng.randrange(3) if kind == "add" else None
+                st.add_child(dotted(parent), payload, index=slot)
+                model.add(parent, payload, slot)
             elif kind.startswith("move"):
                 src = rng.choice(existing)
                 if kind == "move-home":  # into its own vacated slot
-                    parent, index, slot = src[:-1], src[-1], src[-1]
+                    parent, index = src[:-1], src[-1]
                 elif kind == "move-sibling":  # under its own parent, automatic slot
                     parent, index = src[:-1], None
-                    slot = auto_slot(parent, moving=src)
                 else:
-                    parent = rng.choice([()] + [p for p in existing if p[: len(src)] != src])
-                    slot = auto_slot(parent, moving=src)
-                    if kind == "move-auto":
-                        index = None
-                    else:
-                        index = slot = slot + rng.randrange(3)
-                moved = [k for k, p in path_of.items() if p[: len(src)] == src]
-                assert st.move_subtree(st.resolve(ref(src)), ref(parent), index=index) == len(moved)
-                for k in moved:
-                    path_of[k] = parent + (slot,) + path_of[k][len(src):]
+                    parent = rng.choice(model.targets(src))
+                    index = None
+                    if kind == "move":
+                        index = model.place(parent, src=src)[-1] + rng.randrange(3)
+                moved = model.move(src, parent, index)
+                assert st.move_subtree(st.resolve(dotted(src)), dotted(parent), index=index) == len(moved)
             elif kind == "delete":
                 src = rng.choice(existing)
-                doomed = [k for k, p in path_of.items() if p[: len(src)] == src]
-                assert st.delete_subtree(st.resolve(ref(src))) == len(doomed)
-                for k in doomed:
-                    del path_of[k]
+                assert st.delete_subtree(st.resolve(dotted(src))) == len(model.delete(src))
             else:
                 f = tmp_path / "s.db"
                 st.save(f)
                 st = TreeStore.load(f)
-        self.check_parents(st, path_of)
+        self.check_parents(st, model)
+        check_store(st, model, tmp_path / "s.db", ("ancestors",))
 
 
 class TestDescendantsOracle:
-    def test_matches_prefix_filter_on_random_forests(self):
+    def test_matches_prefix_filter_on_random_forests(self, tmp_path):
+        """Every node's descendants are the nodes its path prefixes."""
         rng = random.Random(31)
         sizes = [500] + [rng.randint(20, 160) for _ in range(7)]
         for size in sizes:
             paths = random_forest(rng, size)
             st = build_store_from_paths(TreeStore, paths)
-            by_path = {tuple(matrix_to_path(r.matrix).components): r for r in st}
-            for p, rec in list(by_path.items())[:25]:
-                got = {tuple(matrix_to_path(r.matrix).components) for r in st.descendants(rec)}
-                want = {q for q in by_path if is_proper_prefix(p, q)}
-                assert got == want
+            check_store(st, model_of(paths), tmp_path / "s.db", ("descendants",))
 
 
 class TestKeyComputations:
@@ -1423,52 +1355,35 @@ class TestKeyComputations:
     def test_random_interleavings_match_the_oracle(self, tmp_path, data):
         """Inserts, moves, deletes and queries in any order, including
         first-child chains grown past the current shift and deletes of
-        the deepest node, checked against the Fraction oracle after
+        the deepest node, checked against the path-tuple model after
         every step."""
         rng = random.Random(data.draw(strategies.integers(0, 2**32), label="seed"))
         paths = random_forest(rng, 25)
         st = build_store_from_paths(TreeStore, paths)
-        path_of = TestIndexOrderOracle.dotted(paths)
+        model = model_of(paths)
         names = itertools.count()
-
-        def ref(path):
-            return ".".join(map(str, path)) or "root"
-
-        def under(p, top):
-            return p[: len(top)] == top
-
-        def free_slot(parent):
-            taken = [p[-1] for p in path_of.values() if p[:-1] == parent]
-            return max(taken, default=0) + rng.randint(1, 3)
 
         def insert(parent, slot):
             payload = f"n{next(names)}"
-            st.add_child(ref(parent), payload, index=slot)
-            path_of[payload] = parent + (slot,)
+            st.add_child(dotted(parent), payload, index=slot)
+            model.add(parent, payload, slot)
 
         def delete(path):
-            doomed = [k for k, p in path_of.items() if under(p, path)]
-            assert st.delete_subtree(st.resolve(ref(path))) == len(doomed)
-            for k in doomed:
-                del path_of[k]
+            assert st.delete_subtree(st.resolve(dotted(path))) == len(model.delete(path))
 
         shift = 0
         kinds = ["insert", "move", "delete", "chain", "delete-deepest", "query"]
         for kind in data.draw(strategies.lists(strategies.sampled_from(kinds), max_size=12)):
-            existing = sorted(path_of.values())
+            existing = sorted(model.tree)
             if kind == "insert" or not existing:
                 parent = rng.choice([()] + existing)
-                insert(parent, free_slot(parent))
+                insert(parent, model.place(parent)[-1] + rng.randint(0, 2))
             elif kind == "move":
                 src = rng.choice(existing)
-                parent = rng.choice([()] + [p for p in existing if not under(p, src)])
-                slot = free_slot(parent)
-                assert st.move_subtree(st.resolve(ref(src)), ref(parent), index=slot) == sum(
-                    under(p, src) for p in existing
-                )
-                for k, p in path_of.items():
-                    if under(p, src):
-                        path_of[k] = parent + (slot,) + p[len(src):]
+                parent = rng.choice(model.targets(src))
+                slot = model.place(parent)[-1] + rng.randint(0, 2)
+                moved = model.move(src, parent, slot)
+                assert st.move_subtree(st.resolve(dotted(src)), dotted(parent), index=slot) == len(moved)
             elif kind == "delete":
                 delete(rng.choice(existing))
             elif kind == "chain":  # first children until one needs a wider shift
@@ -1476,36 +1391,15 @@ class TestKeyComputations:
                 while 2 * (m[2] + m[3]).bit_length() + 2 <= st._shift:
                     insert(path, 1)
                     path += (1,)
-                    m = primitive_product(path)
+                    m = model.matrix(path)
             elif kind == "delete-deepest":
                 delete(max(existing, key=len))
             else:
-                node = st.resolve(ref(rng.choice(existing)))
+                node = st.resolve(dotted(rng.choice(existing)))
                 assert set(st.descendants(node)) <= set(st)
             assert st._shift >= shift
             shift = st._shift
-            TestDescendantsSliceOracle.check(st, tmp_path, path_of)
-
-
-def rebuilt_bytes(path_of, tmp_path):
-    """The saved bytes of a store built from scratch, parents first,
-    with each payload at its path."""
-    store = TreeStore()
-    for payload, p in sorted(path_of.items(), key=lambda item: len(item[1])):
-        store.add_child(".".join(map(str, p[:-1])) or "root", payload, index=p[-1])
-    f = tmp_path / "rebuilt.db"
-    store.save(f)
-    return f.read_bytes()
-
-
-def check_against_rebuild(store, tmp_path, path_of):
-    """The Fraction oracles of order, descendants and children, and the
-    saved bytes of a from-scratch rebuild."""
-    TestDescendantsSliceOracle.check(store, tmp_path, path_of)
-    TestChildrenOrderOracle.check(store, tmp_path, path_of)
-    f = tmp_path / "s.db"
-    store.save(f)
-    assert f.read_bytes() == rebuilt_bytes(path_of, tmp_path)
+            check_store(st, model, tmp_path / "s.db")
 
 
 class TestSubtreeWalk:
@@ -1542,34 +1436,24 @@ class TestSubtreeWalk:
     def test_moves_and_deletes_build_no_index(self, index_calls, tmp_path):
         paths = random_forest(random.Random(53), 300)
         st = build_store_from_paths(TreeStore, paths)
-        path_of = TestIndexOrderOracle.dotted(paths)
+        model = model_of(paths)
         st.all_nodes()
         st.add_child("root", "new", index=40)  # the index is stale from here
-        path_of["new"] = (40,)
+        model.add((), "new", 40)
         index_calls.clear()
 
-        def size(top):
-            return sum(p[: len(top)] == top for p in path_of.values())
-
-        def rename(src, dst):
-            for k, p in path_of.items():
-                if p[: len(src)] == src:
-                    path_of[k] = dst + p[len(src):]
-
-        tops = sorted((p for p in path_of.values() if len(p) == 1), key=size)
+        tops = sorted((p for p in model.tree if len(p) == 1), key=lambda p: len(model.subtree(p)))
         src, doomed = tops[-1], tops[-2]
-        assert st.move_subtree(st.resolve(".".join(map(str, src))), "40", index=3) == size(src)
-        rename(src, (40, 3))
-        n = size(doomed)
-        assert st.delete_subtree(st.resolve(".".join(map(str, doomed)))) == n > 1
-        for k in [k for k, p in path_of.items() if p[:1] == doomed]:
-            del path_of[k]
+        assert st.move_subtree(st.resolve(dotted(src)), "40", index=3) == len(model.move(src, (40,), 3))
+        assert st.delete_subtree(st.resolve(dotted(doomed))) == len(model.delete(doomed)) > 1
         # into its own vacated slot, and out of it under its own parent
-        assert st.move_subtree(st.resolve("40.3"), "40", index=3) == size((40, 3))
-        assert st.move_subtree(st.resolve("40.3"), "40") == size((40, 3))
-        rename((40, 3), (40, 1))  # 40 has no other child
+        moved = model.move((40, 3), (40,), 3)
+        assert st.move_subtree(st.resolve("40.3"), "40", index=3) == len(moved)
+        moved = model.move((40, 3), (40,))
+        assert st.move_subtree(st.resolve("40.3"), "40") == len(moved)
+        assert moved[(40, 3)] == (40, 1)  # 40 has no other child
         assert index_calls == []
-        check_against_rebuild(st, tmp_path, path_of)
+        check_store(st, model, tmp_path / "s.db")
 
     @pytest.mark.parametrize("size", [0, 120])
     @pytest.mark.parametrize("op", ["delete", "delete-top", "move-narrow", "move-wide"])
@@ -1578,29 +1462,27 @@ class TestSubtreeWalk:
         by the time the index is built: the shift must not shrink."""
         paths = random_forest(random.Random(59), size)
         st = build_store_from_paths(TreeStore, paths)
-        path_of = TestIndexOrderOracle.dotted(paths)
+        model = model_of(paths)
         top = st.add_child("root", "top", index=60)
-        path_of["top"] = (60,)
+        model.add((), "top", 60)
         st.all_nodes()
         shift = st._shift
         # a denominator of 2**300, far past every shift so far
         wide = st.add_child(top, "wide", index=2**300)
         st.add_child(wide, "leaf", index=2)
-        path_of.update(wide=(60, 2**300), leaf=(60, 2**300, 2))
+        model.add((60,), "wide", 2**300)
+        model.add((60, 2**300), "leaf", 2)
         assert st._stale
         if op == "delete":
-            assert st.delete_subtree(wide) == 2
-            del path_of["wide"], path_of["leaf"]
+            assert st.delete_subtree(wide) == len(model.delete((60, 2**300))) == 2
         elif op == "delete-top":  # leaves an empty store when size is 0
-            assert st.delete_subtree(top) == 3
-            del path_of["top"], path_of["wide"], path_of["leaf"]
+            assert st.delete_subtree(top) == len(model.delete((60,))) == 3
         elif op == "move-narrow":
-            assert st.move_subtree(wide, "root", index=45) == 2
-            path_of.update(wide=(45,), leaf=(45, 2))
+            assert st.move_subtree(wide, "root", index=45) == len(model.move((60, 2**300), (), 45)) == 2
         else:
-            assert st.move_subtree(wide, top, index=2**400) == 2
-            path_of.update(wide=(60, 2**400), leaf=(60, 2**400, 2))
-        check_against_rebuild(st, tmp_path, path_of)
+            moved = model.move((60, 2**300), (60,), 2**400)
+            assert st.move_subtree(wide, top, index=2**400) == len(moved) == 2
+        check_store(st, model, tmp_path / "s.db")
         assert st._shift >= shift
 
     @settings(
@@ -1610,65 +1492,49 @@ class TestSubtreeWalk:
     )
     @given(strategies.data())
     def test_batches_of_mutations_match_the_oracle(self, tmp_path, data):
-        """Several mutations between oracle checks, so moves and deletes
+        """Several mutations between model checks, so moves and deletes
         also run while the keys are stale: wide inserts, moves with a
         requested or an automatic slot (into the vacated one too),
         deletes of any node and of the widest one."""
         rng = random.Random(data.draw(strategies.integers(0, 2**32), label="seed"))
         paths = random_forest(rng, 25)
         st = build_store_from_paths(TreeStore, paths)
-        path_of = TestIndexOrderOracle.dotted(paths)
+        model = model_of(paths)
         names = itertools.count()
 
-        def ref(path):
-            return ".".join(map(str, path)) or "root"
-
-        def under(p, top):
-            return p[: len(top)] == top
-
-        def taken(parent, leaving=None):
-            return [p[-1] for p in path_of.values() if p[:-1] == parent and p != leaving]
-
         def delete(path):
-            doomed = [k for k, p in path_of.items() if under(p, path)]
-            assert st.delete_subtree(st.resolve(ref(path))) == len(doomed)
-            for k in doomed:
-                del path_of[k]
+            assert st.delete_subtree(st.resolve(dotted(path))) == len(model.delete(path))
 
         kinds = ["insert", "wide", "move", "move-auto", "move-home", "delete", "delete-widest"]
         batch = strategies.lists(strategies.sampled_from(kinds), min_size=1, max_size=6)
         shift = 0
         for kinds_drawn in data.draw(strategies.lists(batch, max_size=5)):
             for kind in kinds_drawn:
-                existing = sorted(path_of.values())
+                existing = sorted(model.tree)
                 if kind in ("insert", "wide") or not existing:
                     parent = rng.choice([()] + existing)
-                    top = max(taken(parent), default=0)
                     # above every taken slot: two wide draws may pick one power
-                    slot = top + (rng.randint(1, 3) if kind == "insert" else 2 ** rng.randint(64, 400))
+                    slot = model.place(parent)[-1] - 1  # the highest taken slot
+                    slot += rng.randint(1, 3) if kind == "insert" else 2 ** rng.randint(64, 400)
                     payload = f"n{next(names)}"
-                    st.add_child(ref(parent), payload, index=slot)
-                    path_of[payload] = parent + (slot,)
+                    st.add_child(dotted(parent), payload, index=slot)
+                    model.add(parent, payload, slot)
                 elif kind.startswith("move"):
                     src = rng.choice(existing)
                     if kind == "move-home":
                         parent = src[:-1]
                     else:
-                        parent = rng.choice([()] + [p for p in existing if not under(p, src)])
-                    slot = max(taken(parent, src), default=0) + 1
+                        parent = rng.choice(model.targets(src))
                     index = None
                     if kind == "move":
-                        slot = index = slot + rng.randint(0, 2)
-                    moved = sum(under(p, src) for p in existing)
-                    assert st.move_subtree(st.resolve(ref(src)), ref(parent), index=index) == moved
-                    for k, p in path_of.items():
-                        if under(p, src):
-                            path_of[k] = parent + (slot,) + p[len(src):]
+                        index = model.place(parent, src=src)[-1] + rng.randint(0, 2)
+                    moved = model.move(src, parent, index)
+                    assert st.move_subtree(st.resolve(dotted(src)), dotted(parent), index=index) == len(moved)
                 elif kind == "delete":
                     delete(rng.choice(existing))
                 else:
-                    delete(max(existing, key=lambda p: sum(primitive_product(p)[2:])))
-            check_against_rebuild(st, tmp_path, path_of)
+                    delete(max(existing, key=lambda p: sum(model.matrix(p)[2:])))
+            check_store(st, model, tmp_path / "s.db")
             assert st._shift >= shift
             shift = st._shift
 
@@ -1684,14 +1550,13 @@ class TestSubtreeWalk:
         frags = set(frags) | {()}
         closure = {p[:i] for p in [old + f for f in frags] + [new[:-1]] for i in range(1, len(p) + 1)}
         st = build_store_from_paths(TreeStore, closure)
-        target = ".".join(map(str, new[:-1])) or "root"
-        below = [q for q in closure if q[: len(old)] == old]
-        assert st.move_subtree(st.resolve(".".join(map(str, old))), target, index=new[-1]) == len(below)
-        for q in below:
-            rec = st.resolve(Path(new + q[len(old):]))
-            assert rec.matrix.entries() == primitive_product(new + q[len(old):])
+        moved = model_of(closure).move(old, new[:-1], new[-1])
+        assert st.move_subtree(st.resolve(dotted(old)), dotted(new[:-1]), index=new[-1]) == len(moved)
+        for q, p in moved.items():
+            rec = st.resolve(Path(p))
+            assert rec.matrix.entries() == primitive_product(p)
             assert MobiusMatrix(*rec.matrix.entries()) == rec.matrix
-            assert rec.payload == ".".join(map(str, q))
+            assert rec.payload == dotted(q)
 
 
 class TestAutoSlot:
