@@ -1,11 +1,17 @@
-"""A model-based test of TreeStore through its public API alone.
+"""A model-based test of TreeStore through its public API alone, and
+the suite's one randomized driver of store mutations.
 
 Hypothesis drives random sequences of inserts (explicit, automatic and
 huge slots, first-child chains), moves, deletes, save/load round trips
 and calls on stale handles, each parent given by a reference of any
-kind the API takes.  After every step every query, stats() and the
-saved bytes are compared with oracles.TreeModel, which knows only path
-tuples, and each path's record must be the one the store gave for it.
+kind the API takes.  A batch step runs up to six mutations with no
+query between them (wide inserts, moves, deletes of any node, of the
+widest and of the deepest, reloads), so moves and deletes also meet an
+unsorted index and stale keys; between them only checks that build no
+index run: every record and payload, and every node's ancestors.
+After every step every query, stats() and the saved bytes are compared
+with oracles.TreeModel, which knows only path tuples, and each path's
+record must be the one the store gave for it.
 """
 
 import tempfile
@@ -17,12 +23,17 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from mobiustree.store import CycleError, MissingNodeError, OccupiedSlotError, TreeStore
 
-from oracles import TreeModel, check_store, dotted
+from oracles import TreeModel, check_records, check_store, dotted
 
 BIG = 2**300
 
 # explicit slots, some past 2**300, or None for the automatic slot
 SLOTS = st.one_of(st.none(), st.integers(1, 4), st.integers(BIG + 1, BIG + 3))
+MOVE_PLACES = st.sampled_from(["own parent", "any"])
+MOVE_SLOTS = st.one_of(SLOTS, st.just("own"))
+
+# the mutations a batch draws from
+BATCH = ["add", "wide add", "move", "delete", "delete widest", "delete deepest", "save and load"]
 
 # inserts stop here, so each step's full comparison stays cheap; a
 # chain may pass it, and a subtree of 16 or 17 records, at the edge of
@@ -69,6 +80,18 @@ class StoreMachine(RuleBasedStateMachine):
         self.handle[path] = self.store.add_child(ref, payload, index=slot)
         return path
 
+    def remove(self, top):
+        doomed = self.model.delete(top)
+        assert self.store.delete_subtree(self.handle[top]) == len(doomed)
+        self.stale += [self.handle.pop(p) for p in doomed]
+
+    def check_without_index(self):
+        """What can be checked without sorting the index or re-keying a
+        record: every record and payload, and every node's ancestors."""
+        at = check_records(self.store, self.model, self.handle)
+        for p, rec in at.items():
+            assert self.store.ancestors(rec) == [at[p[:k]] for k in range(1, len(p))], dotted(p)
+
     # -- rules ------------------------------------------------------------
 
     @precondition(lambda self: len(self.model.tree) < MAX_NODES)
@@ -85,11 +108,7 @@ class StoreMachine(RuleBasedStateMachine):
             path = self.insert(data, path, None)
 
     @precondition(lambda self: self.model.tree)
-    @rule(
-        data=st.data(),
-        place=st.sampled_from(["own parent", "any"]),
-        slot=st.one_of(SLOTS, st.just("own")),
-    )
+    @rule(data=st.data(), place=MOVE_PLACES, slot=MOVE_SLOTS)
     def move(self, data, place, slot):
         src = self.draw_node(data)
         parent = src[:-1] if place == "own parent" else self.draw_node(data, root=True)
@@ -111,10 +130,7 @@ class StoreMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.model.tree)
     @rule(data=st.data())
     def delete(self, data):
-        top = self.draw_node(data)
-        doomed = self.model.delete(top)
-        assert self.store.delete_subtree(self.handle[top]) == len(doomed)
-        self.stale += [self.handle.pop(p) for p in doomed]
+        self.remove(self.draw_node(data))
 
     @rule()
     def save_and_load(self):
@@ -125,6 +141,36 @@ class StoreMachine(RuleBasedStateMachine):
         self.store = TreeStore.load(f)
         self.stale.extend(self.handle.values())
         self.handle = {p: self.store.resolve(dotted(p)) for p in self.model.tree}
+
+    @rule(data=st.data(), kinds=st.lists(st.sampled_from(BATCH), min_size=1, max_size=6))
+    def batch(self, data, kinds):
+        """Mutations with no query between them, so each after the first
+        meets the index unsorted, and its keys stale after a wide insert
+        or a reload; the invariant's full comparison follows the batch."""
+        for kind in kinds:
+            if not self.model.tree and kind != "save and load":
+                kind = "add"  # nothing to move or delete
+            if kind.endswith("add") and len(self.model.tree) >= MAX_NODES:
+                continue  # as for the add rules
+            if kind == "add":
+                self.add(data, data.draw(SLOTS))
+            elif kind == "wide add":
+                parent = self.draw_node(data, root=True)
+                # above the highest taken slot, so that two draws of one
+                # power cannot collide
+                top = self.model.place(parent)[-1] - 1
+                self.insert(data, parent, top + 2 ** data.draw(st.integers(64, 400)))
+            elif kind == "move":
+                self.move(data, data.draw(MOVE_PLACES), data.draw(MOVE_SLOTS))
+            elif kind == "delete":
+                self.delete(data)
+            elif kind == "delete widest":
+                self.remove(max(self.model.tree, key=lambda p: sum(self.model.matrix(p)[2:])))
+            elif kind == "delete deepest":
+                self.remove(max(self.model.tree, key=len))
+            else:
+                self.save_and_load()
+            self.check_without_index()
 
     @precondition(lambda self: self.stale)
     @rule(
