@@ -4,8 +4,12 @@ Payload-bearing nodes are keyed by the four entries of their matrix,
 and each record holds that same entry tuple; its matrix is a view built
 on demand.  The index is the records themselves, sorted by a key each
 holds that orders them by exact interval endpoints, and a descendant
-query returns one slice of it; a mutation only marks the index
-unsorted.  Each record holds a reference to its parent record, set
+query returns one slice of it.  A subtree is one run of the index but
+for a det +1 parent between its slot-1 child and that child's
+descendants, so a delete cuts the run out of a sorted index and a move
+splices the re-keyed run back in; an insert, a load or a move that
+needs a wider key shift marks the index unsorted, for the next query to
+sort.  Each record holds a reference to its parent record, set
 where the parent is already in hand (insert, load's closure pass, a
 move's subtree root), so an ancestor query follows references with no
 arithmetic; inserts never touch existing keys.  Each record keeps its
@@ -256,12 +260,14 @@ class TreeStore:
         # _parent of every top-level record and the _owner of every
         # record; never in _records
         self._root = NodeRecord(_ROOT_KEY, "")
-        # the records sorted by _low, re-sorted by the first query after
-        # a mutation.  A mutation only sets _unsorted: releasing the list
-        # would decref every record, a whole-store pass behind one
-        # mutation.  Until that query (or a save), the old list keeps
-        # removed records alive, bounded by the store's size at its
-        # last query.
+        # the records sorted by _low.  Stale keys come with _unsorted
+        # set, so a sorted index has current keys, and a move or delete
+        # on it edits it in place and leaves it sorted (_cut, _splice).
+        # Any other mutation only sets _unsorted, and the next query
+        # sorts a new list: releasing the old one would decref every
+        # record, a whole-store pass behind one mutation.  Until that
+        # query (or a save), the old list keeps records removed since
+        # alive, bounded by the store's size at its last query.
         self._index: list[NodeRecord] = []
         self._unsorted = True
 
@@ -356,8 +362,69 @@ class TreeStore:
                 stack.append(
                     (_child_entries(*key, n), None if new is None else _child_entries(*new, n), -det)
                 )
-        self._unsorted = True
         return out
+
+    def _span(self, node: NodeRecord) -> tuple[int, int, int]:
+        """(s, i, j) for node in the sorted index: idx[s:i] holds node
+        and the one record that can share its low endpoint, and idx[i:j]
+        the rest of node's subtree.
+
+        Two records share a low endpoint only as a det +1 node, closed
+        there, and its slot-1 child, open there: the child sorts just
+        before its parent, and the child's descendants just after it.
+        So idx[s:i] is node alone, or node's slot-1 child and node, or
+        node and its det +1 parent, which is not in node's subtree.
+        Tree intervals are nested or disjoint, so past i a record whose
+        low endpoint lies strictly inside node's interval is a
+        descendant, and one whose low endpoint is node's high endpoint
+        is not; that endpoint is computed here, at the index's shift.
+        The end is found within the _END_WINDOW records after i, where
+        most subtrees end, or by a bisect past them: one probe at
+        i + _END_WINDOW picks the side."""
+        idx = self._index
+        low = node._low
+        i = bisect.bisect_left(idx, (low | 1) + 1, key=_LOW)
+        s = i - 1
+        if low & 1:
+            if node._kids and node._kids[0] == 1:
+                s -= 1  # node's slot-1 child, just before node
+        elif idx[s] is not node:
+            s -= 1  # node, just before its det +1 parent
+        a, b, c, d = node._key
+        k = self._shift
+        # the closed bit is det +1: [(a+b)/(c+d), a/c), else (a/c, (a+b)/(c+d)]
+        end = ((a << k) // c if low & 1 else ((a + b) << k) // (c + d)) << 1
+        p = i + _END_WINDOW
+        if p < len(idx) and idx[p]._low < end:
+            j = bisect.bisect_left(idx, end, p + 1, key=_LOW)
+        else:
+            j = bisect.bisect_left(idx, end, i, min(p, len(idx)), key=_LOW)
+        return s, i, j
+
+    def _cut(self, node: NodeRecord) -> None:
+        """Take node's subtree out of the index, if it is sorted, and
+        leave it sorted; before _detach, while node's keys are its own."""
+        if self._unsorted:
+            return
+        idx = self._index
+        s, i, j = self._span(node)
+        if idx[i - 1] is not node:
+            # node's det +1 parent sits between node and its descendants
+            del idx[i:j]
+            del idx[s]
+        else:
+            del idx[s:j]
+
+    def _splice(self, moved: list[NodeRecord]) -> None:
+        """Put a moved subtree's records, re-keyed and sorted by _low,
+        back into the sorted index.  At most one record that did not
+        move sorts among them: a det +1 new parent of a subtree moved
+        into its slot 1, just after the subtree's node and before the
+        node's descendants."""
+        idx = self._index
+        i = bisect.bisect_left(idx, moved[0]._low, key=_LOW)
+        j = bisect.bisect_left(idx, moved[-1]._low, i, key=_LOW)
+        idx[i:j] = [moved[0], *idx[i:j], *moved[1:]]
 
     def _choose_slot(
         self, parent: NodeRecord, index: int | None, vacating: int | None = None
@@ -386,8 +453,9 @@ class TreeStore:
 
     def _ensure_index(self) -> list[NodeRecord]:
         """The records sorted by _low, which is the order by interval low
-        then high endpoint.  After a mutation the list is replaced by a
-        new one, never changed in place."""
+        then high endpoint.  A move or delete keeps a sorted list sorted
+        in place; after any other mutation the list is replaced by a new
+        one, sorted from the records."""
         if self._unsorted:
             records = self._records
             if self._stale:
@@ -441,47 +509,27 @@ class TreeStore:
         as one slice of the index, which is the records themselves in
         interval order; ordered by interval low endpoint.
 
-        Tree intervals are nested or disjoint, so a record whose low
-        endpoint lies strictly inside the node's interval is a
-        descendant, and one whose low endpoint is the node's high
-        endpoint is not.  The one other record that shares the node's
-        low endpoint is a det +1 node's slot-1 child, open there: it
-        sorts just before the node, so the one slice copied starts at
-        the node's own place, and the child takes the node's place at
-        its head.  The node's high endpoint is computed here, at the
-        index's shift.
+        The slice is the one _span finds.  A det +1 node's slot-1 child,
+        open at the node's low endpoint, sorts just before the node, so
+        for such a node the one slice copied starts at the node's own
+        place, and the child takes the node's place at its head.
 
         The node's owner token is checked first, so a stale or foreign
         handle raises before any sort.  A leaf's slice is empty, by
         parent closure, so a node with no child slots answers a new
         empty list after the index is current, with no search.
-        Otherwise one bisect finds the slice start i, the first record
-        past both records that can share the node's low endpoint, and
-        the end is found within the _END_WINDOW records after i, where
-        most subtrees end, or by a bisect past them: one probe at
-        i + _END_WINDOW picks the side.
         """
         self._require(node)
         idx = self._ensure_index()
-        kids = node._kids
-        if not kids:
+        if not node._kids:
             return []
-        low = node._low
-        i = bisect.bisect_left(idx, (low | 1) + 1, key=_LOW)
-        a, b, c, d = node._key
-        k = self._shift
-        # the closed bit is det +1: [(a+b)/(c+d), a/c), else (a/c, (a+b)/(c+d)]
-        end = ((a << k) // c if low & 1 else ((a + b) << k) // (c + d)) << 1
-        p = i + _END_WINDOW
-        if p < len(idx) and idx[p]._low < end:
-            j = bisect.bisect_left(idx, end, p + 1, key=_LOW)
-        else:
-            j = bisect.bisect_left(idx, end, i, min(p, len(idx)), key=_LOW)
-        if low & 1 and kids[0] == 1:
-            out = idx[i - 1 : j]
-            out[0] = idx[i - 2]
-            return out
-        return idx[i:j]
+        s, i, j = self._span(node)
+        if idx[s] is node:
+            return idx[i:j]
+        # node's slot-1 child at s, node at i - 1
+        out = idx[i - 1 : j]
+        out[0] = idx[s]
+        return out
 
     def ancestors(self, node: NodeRecord) -> list[NodeRecord]:
         """Ancestor chain, root side first, root excluded: the records'
@@ -542,6 +590,7 @@ class TreeStore:
     def delete_subtree(self, node: NodeRecord) -> int:
         """Remove the node and all its descendants; returns the count."""
         self._require(node)
+        self._cut(node)
         return len(self._detach(node))
 
     def move_subtree(
@@ -564,13 +613,19 @@ class TreeStore:
         slot = self._choose_slot(parent, index, vacating)
         # the whole subtree leaves before any record returns, so a move
         # into src's own vacated slot finds its old keys gone
+        self._cut(src)
         moved = self._detach(src, _child_entries(*parent._key, slot))
         src._parent = parent
         for rec in moved:
             rec._low = self._low_for(rec._key)
-        if not self._stale:
-            # keep the moved records one sorted run for the index sort
+        if self._stale:
+            self._unsorted = True
+        else:
+            # one sorted run: spliced into a sorted index, or kept
+            # together for the next sort of an unsorted one
             moved.sort(key=_LOW)
+            if not self._unsorted:
+                self._splice(moved)
         self._records.update((rec._key, rec) for rec in moved)
         _occupy(parent, slot)
         return len(moved)

@@ -439,16 +439,23 @@ class TestRecordLayout:
             gc.enable()
 
     def test_removed_records_are_released_by_the_next_query(self):
-        """A mutation leaves the index list as it is, so that list keeps
-        removed records alive until the next query sorts a new one; no
-        operation finds them in the meantime."""
+        """No operation finds a removed record.  A delete cuts its
+        records out of a sorted index, so they are released at once;
+        after an insert the index is unsorted, and its old list keeps
+        records deleted since alive until the next query sorts a new
+        one."""
         st = build_store_from_paths(TreeStore, random_forest(random.Random(67), 200))
-        node = max(st.children(), key=lambda r: len(st.descendants(r)))
-        removed = [node, *st.descendants(node)]
-        assert st.delete_subtree(node) == len(removed) > 1
+        *_, other, second, first = sorted(st.children(), key=lambda r: len(st.descendants(r)))
+        removed = {node: [node, *st.descendants(node)] for node in (first, second)}
+        assert st.delete_subtree(first) == len(removed[first]) > 1
+        assert not st._unsorted
         held = {id(o) for o in self.reachable(st)}
-        assert all(id(r) in held for r in removed)
-        other = st.children()[0]
+        assert not any(id(r) in held for r in removed[first])
+
+        st.add_child(other, "x")
+        assert st.delete_subtree(second) == len(removed[second]) > 1
+        held = {id(o) for o in self.reachable(st)}
+        assert all(id(r) in held for r in removed[second])
         for op in (
             lambda h: st.descendants(h),
             lambda h: st.ancestors(h),
@@ -458,12 +465,12 @@ class TestRecordLayout:
             lambda h: st.move_subtree(other, h),
             lambda h: st.delete_subtree(h),
         ):
-            for handle in (node, removed[-1]):
+            for handle in (first, removed[first][-1], second, removed[second][-1]):
                 with pytest.raises(MissingNodeError):
                     op(handle)
-        assert len(st.all_nodes()) == len(st) == 200 - len(removed)
+        assert len(st.all_nodes()) == len(st) == 201 - sum(map(len, removed.values()))
         held = {id(o) for o in self.reachable(st)}
-        assert not any(id(r) in held for r in removed)
+        assert not any(id(r) in held for r in removed[second])
 
 
 class TestMoveSubtree:
@@ -1308,6 +1315,65 @@ class TestSubtreeWalk:
             assert rec.matrix.entries() == primitive_product(p)
             assert MobiusMatrix(*rec.matrix.entries()) == rec.matrix
             assert rec.payload == dotted(q)
+
+
+class TestSortedIndexEdits:
+    """After a query, a move or delete edits the sorted index in place:
+    it cuts the subtree's run out, and a move splices the re-keyed run
+    back in, so the index stays sorted and no query re-sorts it.  A move
+    that needs a wider key shift, or a mutation on an index an insert
+    left unsorted, leaves the sort to the next query.
+
+    Nodes at even depths are det +1.  2.1 has a slot-1 child, 2.1.1,
+    which sorts just before it, with 2.1 between 2.1.1 and 2.1.1's
+    descendants; so has 2.1.1.1, whose slot-1 child is a leaf.  3.2 and
+    3.4 have a free slot 1.  Node 4.2**200 sets a shift wide enough for
+    every move but the one into slot 2**300."""
+
+    PATHS = ("1.1.1.2", "1.1.3", "2.1.1.1.1", "2.1.1.2", "2.1.3.1", "2.2", "3.2.2.1", "3.4")
+
+    # (insert first, src, new parent or None for a delete, index, stays sorted)
+    CASES = {
+        "delete-det+1-node-with-slot-1-child": (False, "2.1", None, None, True),
+        "move-det+1-node-with-slot-1-child": (False, "2.1", "3.2.2", 5, True),
+        "move-det+1-node-with-slot-1-child-to-det-1": (False, "2.1", "root", 7, True),
+        "delete-slot-1-child-of-det+1": (False, "2.1.1", None, None, True),
+        "delete-slot-1-leaf-of-det+1": (False, "2.1.1.1.1", None, None, True),
+        "move-slot-1-child-of-det+1": (False, "2.1.1", "3.4", 2, True),
+        "move-slot-1-child-into-slot-1-of-det+1": (False, "2.1.1", "3.2", 1, True),
+        "move-into-slot-1-of-det+1": (False, "1.1", "3.2", 1, True),
+        "move-leaf-into-slot-1-of-det+1": (False, "2.2", "3.4", 1, True),
+        "delete-top-level": (False, "1", None, None, True),
+        "move-top-level": (False, "1", "root", 9, True),
+        "move-top-level-down": (False, "3", "2.1.3", 2, True),
+        "move-within-own-parent": (False, "2.1.3", "2.1", 5, True),
+        "move-into-own-vacated-slot": (False, "2.1.3", "2.1", 3, True),
+        "move-slot-1-child-into-own-vacated-slot": (False, "2.1.1", "2.1", 1, True),
+        "move-widening-the-shift": (False, "1.1", "3", 2**300, False),
+        "move-on-unsorted-index": (True, "2.1", "3.2.2", None, False),
+        "delete-on-unsorted-index": (True, "2.1.1", None, None, False),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_edit(self, tmp_path, case):
+        insert_first, src, parent, index, stays_sorted = self.CASES[case]
+        parse = lambda text: tuple(Path.parse(text).components)
+        paths = {parse(t)[:i] for t in self.PATHS for i in range(1, t.count(".") + 2)}
+        paths |= {(4,), (4, 2**200)}
+        st = build_store_from_paths(TreeStore, paths)
+        model = model_of(paths)
+        st.all_nodes()
+        if insert_first:
+            st.add_child("2", "new", index=9)
+            model.add((2,), "new", 9)
+        node = st.resolve(src)
+        if parent is None:
+            assert st.delete_subtree(node) == len(model.delete(parse(src)))
+        else:
+            moved = model.move(parse(src), () if parent == "root" else parse(parent), index)
+            assert st.move_subtree(node, parent, index=index) == len(moved)
+        assert st._unsorted is not stays_sorted
+        check_store(st, model, tmp_path / "s.db")
 
 
 class TestAutoSlot:

@@ -4,11 +4,14 @@ the suite's one randomized driver of store mutations.
 Hypothesis drives random sequences of inserts (explicit, automatic and
 huge slots, first-child chains), moves, deletes, save/load round trips
 and calls on stale handles, each parent given by a reference of any
-kind the API takes.  A batch step runs up to six mutations with no
-query between them (wide inserts, moves, deletes of any node, of the
-widest and of the deepest, reloads), so moves and deletes also meet an
-unsorted index and stale keys; between them only checks that build no
-index run: every record and payload, and every node's ancestors.
+kind the API takes.  A batch step runs up to six mutations (wide
+inserts, moves, deletes of any node, of the widest and of the deepest,
+reloads) and descendant queries in a row.  A query sorts the index, so
+a move or delete after it edits a sorted index in place, and one after
+an insert or a reload meets the index unsorted, its keys stale after a
+wide insert or a reload; between the steps of a batch only checks that
+build no index run: every record and payload, and every node's
+ancestors.
 After every step every query, stats() and the saved bytes are compared
 with oracles.TreeModel, which knows only path tuples, and each path's
 record must be the one the store gave for it.
@@ -33,7 +36,9 @@ MOVE_PLACES = st.sampled_from(["own parent", "any"])
 MOVE_SLOTS = st.one_of(SLOTS, st.just("own"))
 
 # the mutations a batch draws from
-BATCH = ["add", "wide add", "move", "delete", "delete widest", "delete deepest", "save and load"]
+BATCH = [
+    "add", "wide add", "move", "delete", "delete widest", "delete deepest", "save and load", "query"
+]
 
 # inserts stop here, so each step's full comparison stays cheap; a
 # chain may pass it, and a subtree of 16 or 17 records, at the edge of
@@ -144,12 +149,13 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule(data=st.data(), kinds=st.lists(st.sampled_from(BATCH), min_size=1, max_size=6))
     def batch(self, data, kinds):
-        """Mutations with no query between them, so each after the first
-        meets the index unsorted, and its keys stale after a wide insert
-        or a reload; the invariant's full comparison follows the batch."""
+        """Mutations and descendant queries in a row, so a move or delete
+        meets the index sorted after a query, and unsorted after an
+        insert or a reload, its keys stale after a wide insert or a
+        reload; the invariant's full comparison follows the batch."""
         for kind in kinds:
             if not self.model.tree and kind != "save and load":
-                kind = "add"  # nothing to move or delete
+                kind = "add"  # nothing to move, delete or query
             if kind.endswith("add") and len(self.model.tree) >= MAX_NODES:
                 continue  # as for the add rules
             if kind == "add":
@@ -168,6 +174,10 @@ class StoreMachine(RuleBasedStateMachine):
                 self.remove(max(self.model.tree, key=lambda p: sum(self.model.matrix(p)[2:])))
             elif kind == "delete deepest":
                 self.remove(max(self.model.tree, key=len))
+            elif kind == "query":
+                node = self.draw_node(data)
+                below = [self.handle[p] for p in self.model.descendants(node)]
+                assert self.store.descendants(self.handle[node]) == below, dotted(node)
             else:
                 self.save_and_load()
             self.check_without_index()
